@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "math/parallel.hpp"
 #include "math/quadrature.hpp"
 #include "math/roots.hpp"
 #include "math/specfun.hpp"
@@ -232,18 +231,6 @@ std::pair<double, double> GammaMixturePosterior::sample(
           random::sample_gamma(rng, pick.beta.shape, pick.beta.rate)};
 }
 
-template <typename F>
-double GammaMixturePosterior::beta_integral(const ProductGammaComponent& c,
-                                            F&& g) const {
-  // Integrate g(beta) * pdf(beta) over the component's effective support
-  // [q(1e-10), q(1 - 1e-10)] with composite Gauss-Legendre.
-  static const m::GaussLegendre rule(24);
-  const double lo = c.beta.quantile(1e-10);
-  const double hi = c.beta.quantile(1.0 - 1e-10);
-  auto f = [&](double b) { return std::exp(c.beta.log_pdf(b)) * g(b); };
-  return rule.integrate_composite(f, lo, hi, 8);
-}
-
 std::string GammaMixturePosterior::to_csv() const {
   std::ostringstream os;
   os.precision(17);
@@ -295,12 +282,12 @@ namespace {
 // turns heavy-tailed mixtures (thousands of components) from seconds
 // into milliseconds without a measurable accuracy change.
 constexpr double kFunctionalWeightFloor = 1e-12;
-// Quadrature layout shared with beta_integral: a 24-point rule over 8
-// equal panels of the component's effective support.
+// Quadrature layout of every reliability functional: a 24-point rule
+// over 8 equal panels of the component's effective support.
 constexpr int kFunctionalOrder = 24;
 constexpr int kFunctionalPanels = 8;
 
-/// Dot product of a cached component against g(node, flat_index),
+/// Dot product of a cached component against g(flat node index),
 /// mirroring integrate_composite's per-panel summation order.  The
 /// component type is deduced (FunctionalCache::Comp is private).
 template <typename C, typename G>
@@ -310,24 +297,10 @@ double cached_integral(const C& cc, G&& g) {
   for (const double h : cc.panel_h) {
     double ps = 0.0;
     for (int i = 0; i < cc.order; ++i, ++j) {
-      ps += cc.wpdf[j] * g(cc.nodes[j], j);
+      ps += cc.wpdf[j] * g(j);
     }
     s += ps * h;
   }
-  return s;
-}
-
-/// Ordered parallel reduction: per-component values are computed into
-/// preassigned slots and summed in component order, so the result does
-/// not depend on the thread count.
-double reduce_components(
-    std::size_t n, unsigned threads,
-    const std::function<double(std::size_t)>& value) {
-  std::vector<double> vals(n, 0.0);
-  m::parallel_for(n, threads,
-                  [&](std::size_t i) { vals[i] = value(i); });
-  double s = 0.0;
-  for (const double v : vals) s += v;
   return s;
 }
 
@@ -350,7 +323,7 @@ GammaMixturePosterior::functional_cache() const {
       cc.b_w = c.omega.rate;
       cc.lgamma_aw = m::log_gamma(c.omega.shape);
       cc.order = rule.size();
-      // Same support and panel mapping as beta_integral.
+      // Effective support [q(1e-10), q(1 - 1e-10)] in equal panels.
       const double lo = c.beta.quantile(1e-10);
       const double hi = c.beta.quantile(1.0 - 1e-10);
       const double pw = (hi - lo) / kFunctionalPanels;
@@ -383,7 +356,7 @@ GammaMixturePosterior::HTable GammaMixturePosterior::make_h_table(
   t.h.resize(fc.comps.size());
   t.inv.resize(fc.comps.size());
   t.log_inv.resize(fc.comps.size());
-  m::parallel_for(fc.comps.size(), functional_threads_, [&](std::size_t ci) {
+  for (std::size_t ci = 0; ci < fc.comps.size(); ++ci) {
     const auto& cc = fc.comps[ci];
     // The two-boundary mass table hits the Erlang closed form for the
     // paper's integral-alpha0 models: one exp per node instead of two
@@ -405,134 +378,87 @@ GammaMixturePosterior::HTable GammaMixturePosterior::make_h_table(
         log_inv[j] = std::log(inv[j]);
       }
     }
-  });
+  }
   return t;
 }
 
-double GammaMixturePosterior::reliability_point_cached(
+double GammaMixturePosterior::reliability_point_from(
     const FunctionalCache& fc, const HTable& h) const {
-  const double s = reduce_components(
-      fc.comps.size(), functional_threads_, [&](std::size_t ci) {
-        const auto& cc = fc.comps[ci];
-        const auto& row = h.h[ci];
-        return cc.weight * cached_integral(cc, [&](double, std::size_t j) {
-                 // E[e^{-omega h}] for omega ~ Gamma(a, b_w).
-                 return std::exp(-cc.a_w * std::log1p(row[j] / cc.b_w));
-               });
-      });
+  double s = 0.0;
+  for (std::size_t ci = 0; ci < fc.comps.size(); ++ci) {
+    const auto& cc = fc.comps[ci];
+    const auto& row = h.h[ci];
+    s += cc.weight * cached_integral(cc, [&](std::size_t j) {
+           // E[e^{-omega h}] for omega ~ Gamma(a, b_w).
+           return std::exp(-cc.a_w * std::log1p(row[j] / cc.b_w));
+         });
+  }
+  // Renormalize for the skipped sliver so the estimate stays a mean.
   return fc.skipped > 0.0 ? s / (1.0 - fc.skipped) : s;
 }
 
-double GammaMixturePosterior::reliability_cdf_cached(
+double GammaMixturePosterior::reliability_cdf_from(
     double x, const FunctionalCache& fc, const HTable& h) const {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
   const double neg_log_x = -std::log(x);
   const double log_nlx = std::log(neg_log_x);
-  const double s = reduce_components(
-      fc.comps.size(), functional_threads_, [&](std::size_t ci) {
-        const auto& cc = fc.comps[ci];
-        const auto& row = h.h[ci];
-        const auto& inv = h.inv[ci];
-        const auto& log_inv = h.log_inv[ci];
-        return cc.weight * cached_integral(cc, [&](double, std::size_t j) {
-                 if (!(row[j] > 0.0)) return 0.0;  // R == 1 surely > x
-                 // P(R <= x | beta) = Q(a, b_w * (-log x) / h), via the
-                 // pair kernel with every log/lgamma precomputed.
-                 return m::gamma_pq_cached(cc.a_w, inv[j] * neg_log_x,
-                                           log_inv[j] + log_nlx,
-                                           cc.lgamma_aw)
-                     .q;
-               });
-      });
+  double s = 0.0;
+  for (std::size_t ci = 0; ci < fc.comps.size(); ++ci) {
+    const auto& cc = fc.comps[ci];
+    const auto& row = h.h[ci];
+    const auto& inv = h.inv[ci];
+    const auto& log_inv = h.log_inv[ci];
+    s += cc.weight * cached_integral(cc, [&](std::size_t j) {
+           if (!(row[j] > 0.0)) return 0.0;  // R == 1 surely > x
+           // P(R <= x | beta) = Q(a, b_w * (-log x) / h), via the pair
+           // kernel with every log/lgamma precomputed.
+           return m::gamma_pq_cached(cc.a_w, inv[j] * neg_log_x,
+                                     log_inv[j] + log_nlx, cc.lgamma_aw)
+               .q;
+         });
+  }
   return fc.kept > 0.0 ? s / fc.kept : 0.0;
 }
 
-double GammaMixturePosterior::reliability_quantile_cached(
+double GammaMixturePosterior::reliability_quantile_from(
     double p, const FunctionalCache& fc, const HTable& h) const {
   // The CDF is monotone in x with the h-table fixed, so Brent converges
   // in ~12-15 evaluations where bisection needs ~37.
-  auto f = [&](double x) { return reliability_cdf_cached(x, fc, h) - p; };
+  auto f = [&](double x) { return reliability_cdf_from(x, fc, h) - p; };
   const auto r = m::brent(f, 1e-14, 1.0 - 1e-14, 1e-12, 120);
   return r.x;
 }
 
 double GammaMixturePosterior::reliability_point(double u) const {
-  if (use_functional_cache_) {
-    const auto& fc = functional_cache();
-    return reliability_point_cached(fc, make_h_table(fc, u));
-  }
-  const nhpp::GammaFailureLaw law{alpha0_};
-  double s = 0.0;
-  double skipped = 0.0;
-  for (const auto& c : components_) {
-    if (c.weight < kFunctionalWeightFloor) {
-      skipped += c.weight;
-      continue;
-    }
-    const double val = beta_integral(c, [&](double b) {
-      const double h = law.interval_mass(horizon_, horizon_ + u, b);
-      // E[e^{-omega h}] for omega ~ Gamma(a, b_w): (b_w/(b_w+h))^a.
-      return std::exp(-c.omega.shape *
-                      std::log1p(h / c.omega.rate));
-    });
-    s += c.weight * val;
-  }
-  // Renormalize for the skipped sliver so the estimate stays a mean.
-  return skipped > 0.0 ? s / (1.0 - skipped) : s;
+  const auto& fc = functional_cache();
+  return reliability_point_from(fc, make_h_table(fc, u));
 }
 
 double GammaMixturePosterior::reliability_cdf(double x, double u) const {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  if (use_functional_cache_) {
-    const auto& fc = functional_cache();
-    return reliability_cdf_cached(x, fc, make_h_table(fc, u));
-  }
-  const nhpp::GammaFailureLaw law{alpha0_};
-  const double neg_log_x = -std::log(x);
-  double s = 0.0;
-  double kept = 0.0;
-  for (const auto& c : components_) {
-    if (c.weight < kFunctionalWeightFloor) continue;
-    kept += c.weight;
-    const double val = beta_integral(c, [&](double b) {
-      const double h = law.interval_mass(horizon_, horizon_ + u, b);
-      if (!(h > 0.0)) return 0.0;  // R == 1 surely > x
-      // P(R <= x | beta) = P(omega >= -log x / h) = Q(a, b_w * cut).
-      return m::gamma_q(c.omega.shape, c.omega.rate * neg_log_x / h);
-    });
-    s += c.weight * val;
-  }
-  return kept > 0.0 ? s / kept : 0.0;
+  const auto& fc = functional_cache();
+  return reliability_cdf_from(x, fc, make_h_table(fc, u));
 }
 
 double GammaMixturePosterior::reliability_quantile(double p, double u) const {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("reliability_quantile: p in (0,1)");
   }
-  if (use_functional_cache_) {
-    const auto& fc = functional_cache();
-    return reliability_quantile_cached(p, fc, make_h_table(fc, u));
-  }
-  auto f = [&](double x) { return reliability_cdf(x, u) - p; };
-  const auto r = m::bisect(f, 1e-14, 1.0 - 1e-14, 1e-11, 200);
-  return r.x;
+  const auto& fc = functional_cache();
+  return reliability_quantile_from(p, fc, make_h_table(fc, u));
 }
 
 bayes::ReliabilityEstimate GammaMixturePosterior::reliability(
     double u, double level) const {
   const double a = 0.5 * (1.0 - level);
-  if (use_functional_cache_) {
-    // One h-table serves the point estimate and both quantile searches.
-    const auto& fc = functional_cache();
-    const auto h = make_h_table(fc, u);
-    return {reliability_point_cached(fc, h),
-            reliability_quantile_cached(a, fc, h),
-            reliability_quantile_cached(1.0 - a, fc, h), level};
-  }
-  return {reliability_point(u), reliability_quantile(a, u),
-          reliability_quantile(1.0 - a, u), level};
+  // One h-table serves the point estimate and both quantile searches.
+  const auto& fc = functional_cache();
+  const auto h = make_h_table(fc, u);
+  return {reliability_point_from(fc, h),
+          reliability_quantile_from(a, fc, h),
+          reliability_quantile_from(1.0 - a, fc, h), level};
 }
 
 }  // namespace vbsrm::core

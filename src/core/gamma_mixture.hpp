@@ -94,6 +94,15 @@ class GammaMixturePosterior {
   std::string to_csv() const;
   static GammaMixturePosterior from_csv(std::istream& in);
 
+  /// The reliability functionals (Eqs. 31-32) integrate over each
+  /// component's beta marginal with composite Gauss-Legendre (8 panels
+  /// x 24 nodes over [q(1e-10), q(1 - 1e-10)]), skipping components
+  /// below a 1e-12 weight floor.  The nodes and weight * pdf
+  /// coefficients are built once per mixture (thread-safe, on first
+  /// use), so every evaluation is a dot product, and one per-u
+  /// interval-mass table is shared by the point estimate and all CDF
+  /// evaluations of a quantile search.
+  ///
   /// Posterior-mean software reliability R(horizon + u | horizon).
   double reliability_point(double u) const;
   /// P(R <= x) over the mixture.
@@ -101,28 +110,7 @@ class GammaMixturePosterior {
   double reliability_quantile(double p, double u) const;
   bayes::ReliabilityEstimate reliability(double u, double level) const;
 
-  /// Hot-path controls for the reliability functionals (see DESIGN.md
-  /// "Performance architecture").  The cache precomputes, per mixture
-  /// component above the functional weight floor, the beta-quadrature
-  /// abscissae and pdf-weight coefficients shared by every reliability
-  /// functional, turning each evaluation into cached dot products and
-  /// letting a quantile search reuse one interval-mass table across all
-  /// of its CDF evaluations.  Disabling it restores the pre-cache
-  /// evaluation paths (used for perf baselines and equivalence tests);
-  /// results agree to quadrature-tolerance level (<= ~1e-10) either way.
-  void set_functional_cache(bool enabled) { use_functional_cache_ = enabled; }
-  /// Worker threads for the per-component functional reduction
-  /// (0 = hardware concurrency).  The reduction order is fixed, so the
-  /// thread count never changes results.
-  void set_functional_threads(unsigned threads) {
-    functional_threads_ = threads;
-  }
-
  private:
-  /// Integrate g(beta) against one component's beta marginal.
-  template <typename F>
-  double beta_integral(const ProductGammaComponent& c, F&& g) const;
-
   // Lazily built per-component quadrature cache (definitions in the
   // .cpp): nodes, pdf-weight coefficients, and omega parameters for
   // every component above the functional weight floor.
@@ -135,18 +123,16 @@ class GammaMixturePosterior {
   /// the CDF integrand needs; shared across the CDF evaluations of a
   /// quantile search and the point estimate.
   HTable make_h_table(const FunctionalCache& fc, double u) const;
-  double reliability_point_cached(const FunctionalCache& fc,
-                                  const HTable& h) const;
-  double reliability_cdf_cached(double x, const FunctionalCache& fc,
+  double reliability_point_from(const FunctionalCache& fc,
                                 const HTable& h) const;
-  double reliability_quantile_cached(double p, const FunctionalCache& fc,
-                                     const HTable& h) const;
+  double reliability_cdf_from(double x, const FunctionalCache& fc,
+                              const HTable& h) const;
+  double reliability_quantile_from(double p, const FunctionalCache& fc,
+                                   const HTable& h) const;
 
   std::vector<ProductGammaComponent> components_;
   double alpha0_;
   double horizon_;
-  bool use_functional_cache_ = true;
-  unsigned functional_threads_ = 1;
   std::vector<double> cum_weights_;  // prefix sums for sample()
   mutable std::unique_ptr<CacheSlot> cache_slot_;
 };

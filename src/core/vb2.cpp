@@ -18,6 +18,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Components per chunk of the sweep.  The chunk layout fixes the
+/// warm-start chain, so changing it changes the fitted bits.  The lgamma
+/// ladder reseeds exactly at every chunk head, so it also bounds the
+/// recurrence drift to kSweepChunk - 1 steps.
+constexpr std::uint64_t kSweepChunk = 64;
+
 /// True when alpha0 is a (small) positive integer, which makes the
 /// lgamma(a_b) ladder advance by whole steps.
 bool integral_alpha(double alpha0) {
@@ -64,48 +70,8 @@ Vb2Estimator::Vb2Estimator(double alpha0, const data::GroupedData& d,
   run(opt);
 }
 
-namespace {
-
-/// zeta(xi, N): the E-step expectation E[sum_i T_i | N] at rate xi.
-struct ZetaEvaluator {
-  double alpha0;
-  bool grouped;
-  double observed;       // M as double
-  double horizon;
-  double sum_t;          // failure-time only
-  const std::vector<double>* bounds;        // grouped only
-  const std::vector<std::size_t>* counts;   // grouped only
-
-  double operator()(double xi, double n) const {
-    const nhpp::GammaFailureLaw law{alpha0};
-    const double residual = n - observed;
-    double z = 0.0;
-    if (!grouped) {
-      z = sum_t;
-    } else {
-      double prev = 0.0;
-      for (std::size_t i = 0; i < bounds->size(); ++i) {
-        const double x = static_cast<double>((*counts)[i]);
-        if (x > 0.0) {
-          z += x * law.truncated_mean(prev, (*bounds)[i], xi);
-        }
-        prev = (*bounds)[i];
-      }
-    }
-    if (residual > 0.0) {
-      z += residual * law.truncated_mean(horizon, kInf, xi);
-    }
-    return z;
-  }
-};
-
-}  // namespace
-
-double Vb2Estimator::zeta_naive(double xi, double nd) const {
-  const ZetaEvaluator zeta_of{alpha0_, grouped_,
-                              static_cast<double>(observed_), horizon_,
-                              sum_t_, &bounds_, &counts_};
-  return zeta_of(xi, nd);
+nhpp::GroupedMassTable Vb2Estimator::make_table() const {
+  return {alpha0_, grouped_ ? bounds_ : std::vector<double>{horizon_}};
 }
 
 double Vb2Estimator::zeta_from_table(nhpp::GroupedMassTable& table, double xi,
@@ -160,136 +126,29 @@ std::pair<double, double> Vb2Estimator::solve_component(
   const double warm =
       a_beta / (priors_.beta.rate + sum_t_ + std::max(0.0, nd - md) * horizon_ +
                 (grouped_ ? md * 0.5 * horizon_ : 0.0) + 1e-300);
-  std::optional<nhpp::GroupedMassTable> table;
-  if (opt_.use_zeta_table) {
-    table.emplace(alpha0_, grouped_ ? bounds_ : std::vector<double>{horizon_});
-  }
-  const auto r = process_component(n, warm, ladder_exact(n),
-                                   table ? &*table : nullptr);
+  auto table = make_table();
+  const auto r = process_component(n, warm, ladder_exact(n), table);
   return {r.zeta, r.xi};
 }
 
 double Vb2Estimator::component_objective(std::uint64_t n, double xi) const {
-  const double nd = static_cast<double>(n);
-  const double md = static_cast<double>(observed_);
-  const double rd = nd - md;
-  if (rd < 0.0 || !(xi > 0.0)) return -kInf;
-
-  const ZetaEvaluator zeta_of{alpha0_, grouped_, md, horizon_, sum_t_,
-                              &bounds_, &counts_};
-  const nhpp::GammaFailureLaw law{alpha0_};
-  const double zeta = zeta_of(xi, nd);
-
-  const double a_w = priors_.omega.shape + nd;
-  const double b_w = priors_.omega.rate + 1.0;
-  const double a_b = priors_.beta.shape + nd * alpha0_;
-  const double b_b = priors_.beta.rate + zeta;
-
-  // log C(N): observed-data term at rate xi.
-  double log_c;
-  if (!grouped_) {
-    log_c = md * (alpha0_ * std::log(xi) - m::log_gamma(alpha0_)) +
-            (alpha0_ - 1.0) * sum_log_t_ - xi * sum_t_;
-  } else {
-    log_c = 0.0;
-    double prev = 0.0;
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-      const double x = static_cast<double>(counts_[i]);
-      if (x > 0.0) {
-        log_c += x * law.log_interval_mass(prev, bounds_[i], xi);
-      }
-      prev = bounds_[i];
-    }
-  }
-  log_c += rd * law.log_survival(horizon_, xi) - m::log_gamma(rd + 1.0);
-
-  return m::log_gamma(a_w) - a_w * std::log(b_w) + m::log_gamma(a_b) -
-         a_b * std::log(b_b) + log_c - nd * alpha0_ * std::log(xi) +
-         xi * zeta;
+  if (n < observed_ || !(xi > 0.0)) return -kInf;
+  auto table = make_table();
+  return score_component(n, xi, ladder_exact(n), table).log_w;
 }
 
-Vb2Estimator::ComponentResult Vb2Estimator::process_component(
-    std::uint64_t n, double warm, const LadderTerms& lt,
-    nhpp::GroupedMassTable* table) const {
+Vb2Estimator::ComponentResult Vb2Estimator::score_component(
+    std::uint64_t n, double xi, const LadderTerms& lt,
+    nhpp::GroupedMassTable& table) const {
   const double nd = static_cast<double>(n);
   const double md = static_cast<double>(observed_);
-  const double a_beta = priors_.beta.shape + nd * alpha0_;
-
-  ComponentResult out;
-
-  // --- Solve the (zeta, xi) fixed point. ---
-  if (!grouped_ && alpha0_ == 1.0 && opt_.use_closed_form) {
-    out.xi = (priors_.beta.shape + md) /
-             (priors_.beta.rate + sum_t_ + (nd - md) * horizon_);
-    out.iterations = 1;
-  } else {
-    auto zeta_at = [&](double xi) {
-      return table ? zeta_from_table(*table, xi, nd) : zeta_naive(xi, nd);
-    };
-    auto g = [&](double xi) {
-      return a_beta / (priors_.beta.rate + zeta_at(xi));
-    };
-    if (opt_.use_newton) {
-      auto f = [&](double xi) { return g(xi) - xi; };
-      auto df = [&](double xi) {
-        const double h = 1e-7 * std::max(xi, 1e-12);
-        return (f(xi + h) - f(xi - h)) / (2.0 * h);
-      };
-      const auto r = m::newton(f, df, warm, warm * 1e-3, warm * 1e3,
-                               opt_.fixed_point_tol, opt_.fixed_point_max_iter);
-      out.xi = r.x;
-      out.iterations = static_cast<std::uint64_t>(r.iterations);
-    } else if (opt_.use_steffensen) {
-      // Steffensen: one Aitken delta-squared extrapolation per pair of
-      // substitution steps.  Convergence is declared by the same
-      // |g(x) - x| criterion as m::fixed_point, so the accepted xi
-      // satisfies the identical residual bound.
-      double x = warm;
-      std::uint64_t evals = 0;
-      const auto limit =
-          static_cast<std::uint64_t>(opt_.fixed_point_max_iter);
-      while (evals + 2 <= limit) {
-        const double x1 = g(x);
-        ++evals;
-        if (std::abs(x1 - x) <=
-            opt_.fixed_point_tol * std::max(1.0, std::abs(x1))) {
-          x = x1;
-          break;
-        }
-        const double x2 = g(x1);
-        ++evals;
-        const double d2 = x2 - x1;
-        const double denom = d2 - (x1 - x);
-        x = x2;
-        if (denom != 0.0) {
-          const double cand = x2 - d2 * d2 / denom;
-          if (std::isfinite(cand) && cand > 0.0) x = cand;
-        }
-      }
-      out.xi = x;
-      out.iterations = evals;
-    } else {
-      const auto r = m::fixed_point(g, warm, opt_.fixed_point_tol,
-                                    opt_.fixed_point_max_iter);
-      out.xi = r.x;
-      out.iterations = static_cast<std::uint64_t>(r.iterations);
-    }
-  }
-
-  // --- Score the component. ---
-  if (!table) {
-    // Legacy path: zeta for the caller, then the objective re-derives
-    // zeta internally — exactly the pre-optimization cost and bits.
-    out.zeta = zeta_naive(out.xi, nd);
-    out.log_w = component_objective(n, out.xi);
-    return out;
-  }
-
-  // Cached path: one table evaluation at the converged xi serves both
-  // zeta and the observed-data log-masses of the objective.
-  const double xi = out.xi;
   const double rd = nd - md;
-  out.zeta = zeta_from_table(*table, xi, nd);
+
+  // One table evaluation at xi serves both zeta and the observed-data
+  // log-masses of the objective.
+  ComponentResult out;
+  out.xi = xi;
+  out.zeta = zeta_from_table(table, xi, nd);
   if (!(xi > 0.0)) {
     out.log_w = -kInf;
     return out;
@@ -297,9 +156,10 @@ Vb2Estimator::ComponentResult Vb2Estimator::process_component(
 
   const double a_w = priors_.omega.shape + nd;
   const double b_w = priors_.omega.rate + 1.0;
-  const double a_b = a_beta;
+  const double a_b = priors_.beta.shape + nd * alpha0_;
   const double b_b = priors_.beta.rate + out.zeta;
 
+  // log C(N): observed-data term at rate xi.
   double log_c;
   if (!grouped_) {
     log_c = md * alpha0_ * std::log(xi) + ft_logc_const_ - xi * sum_t_;
@@ -307,14 +167,91 @@ Vb2Estimator::ComponentResult Vb2Estimator::process_component(
     log_c = 0.0;
     for (std::size_t i = 0; i < bounds_.size(); ++i) {
       const double x = static_cast<double>(counts_[i]);
-      if (x > 0.0) log_c += x * table->log_interval_mass(i);
+      if (x > 0.0) log_c += x * table.log_interval_mass(i);
     }
   }
-  log_c += rd * table->log_tail_survival() - lt.lg_rdp1;
+  log_c += rd * table.log_tail_survival() - lt.lg_rdp1;
 
   out.log_w = lt.lg_aw - a_w * std::log(b_w) + lt.lg_ab -
               a_b * std::log(b_b) + log_c - nd * alpha0_ * std::log(xi) +
               xi * out.zeta;
+  return out;
+}
+
+Vb2Estimator::ComponentResult Vb2Estimator::process_component(
+    std::uint64_t n, double warm, const LadderTerms& lt,
+    nhpp::GroupedMassTable& table) const {
+  const double nd = static_cast<double>(n);
+  const double md = static_cast<double>(observed_);
+  const double a_beta = priors_.beta.shape + nd * alpha0_;
+
+  double xi = warm;
+  std::uint64_t iterations = 0;
+  if (!grouped_ && alpha0_ == 1.0 && opt_.use_closed_form) {
+    xi = (priors_.beta.shape + md) /
+         (priors_.beta.rate + sum_t_ + (nd - md) * horizon_);
+    iterations = 1;
+  } else {
+    auto g = [&](double x) {
+      return a_beta / (priors_.beta.rate + zeta_from_table(table, x, nd));
+    };
+    switch (opt_.solver) {
+      case FixedPointSolver::steffensen: {
+        // One Aitken delta-squared extrapolation per pair of
+        // substitution steps.  Convergence is declared by the same
+        // |g(x) - x| criterion as m::fixed_point, so the accepted xi
+        // satisfies the identical residual bound.
+        double x = warm;
+        std::uint64_t evals = 0;
+        const auto limit =
+            static_cast<std::uint64_t>(opt_.fixed_point_max_iter);
+        while (evals + 2 <= limit) {
+          const double x1 = g(x);
+          ++evals;
+          if (std::abs(x1 - x) <=
+              opt_.fixed_point_tol * std::max(1.0, std::abs(x1))) {
+            x = x1;
+            break;
+          }
+          const double x2 = g(x1);
+          ++evals;
+          const double d2 = x2 - x1;
+          const double denom = d2 - (x1 - x);
+          x = x2;
+          if (denom != 0.0) {
+            const double cand = x2 - d2 * d2 / denom;
+            if (std::isfinite(cand) && cand > 0.0) x = cand;
+          }
+        }
+        xi = x;
+        iterations = evals;
+        break;
+      }
+      case FixedPointSolver::newton: {
+        auto f = [&](double x) { return g(x) - x; };
+        auto df = [&](double x) {
+          const double h = 1e-7 * std::max(x, 1e-12);
+          return (f(x + h) - f(x - h)) / (2.0 * h);
+        };
+        const auto r = m::newton(f, df, warm, warm * 1e-3, warm * 1e3,
+                                 opt_.fixed_point_tol,
+                                 opt_.fixed_point_max_iter);
+        xi = r.x;
+        iterations = static_cast<std::uint64_t>(r.iterations);
+        break;
+      }
+      case FixedPointSolver::substitution: {
+        const auto r = m::fixed_point(g, warm, opt_.fixed_point_tol,
+                                      opt_.fixed_point_max_iter);
+        xi = r.x;
+        iterations = static_cast<std::uint64_t>(r.iterations);
+        break;
+      }
+    }
+  }
+
+  ComponentResult out = score_component(n, xi, lt, table);
+  out.iterations = iterations;
   return out;
 }
 
@@ -324,49 +261,10 @@ std::uint64_t Vb2Estimator::sweep_stage(std::uint64_t lo, std::uint64_t hi,
                                         std::vector<double>& log_w,
                                         std::vector<double>& zetas,
                                         std::vector<double>& xis) const {
-  auto make_table = [&]() -> std::optional<nhpp::GroupedMassTable> {
-    if (!opt_.use_zeta_table) return std::nullopt;
-    return nhpp::GroupedMassTable(
-        alpha0_, grouped_ ? bounds_ : std::vector<double>{horizon_});
-  };
-  const std::uint64_t resync =
-      std::max<std::uint64_t>(1, opt_.lgamma_resync);
-
-  // Legacy strictly sequential chain (also the sweep_chunk == 0 mode).
-  if (opt_.sweep_chunk == 0) {
-    auto table = make_table();
-    std::uint64_t iters = 0;
-    LadderTerms lt = ladder_exact(lo);
-    std::uint64_t since_exact = 0;
-    double warm = stage_warm;
-    for (std::uint64_t n = lo; n <= hi; ++n) {
-      if (n > lo) {
-        if (opt_.use_lgamma_recurrence && since_exact < resync) {
-          ladder_advance(lt, n - 1);
-          ++since_exact;
-        } else {
-          lt = ladder_exact(n);
-          since_exact = 0;
-        }
-      }
-      const auto r =
-          process_component(n, warm, lt, table ? &*table : nullptr);
-      const std::size_t k = static_cast<std::size_t>(n - n_min);
-      log_w[k] = r.log_w;
-      zetas[k] = r.zeta;
-      xis[k] = r.xi;
-      warm = r.xi;
-      iters += r.iterations;
-    }
-    stage_warm = warm;
-    return iters;
-  }
-
-  // Chunked sweep: decomposition and seeding depend only on the range
-  // and sweep_chunk, never on the thread count.
-  const std::uint64_t chunk = opt_.sweep_chunk;
+  // Chunked sweep: decomposition and seeding depend only on the range,
+  // never on the thread count.
   const std::size_t n_chunks =
-      static_cast<std::size_t>((hi - lo) / chunk) + 1;
+      static_cast<std::size_t>((hi - lo) / kSweepChunk) + 1;
 
   // Pass 1: chunk heads, solved in order with a chained warm start.
   std::vector<double> head_xi(n_chunks);
@@ -375,9 +273,8 @@ std::uint64_t Vb2Estimator::sweep_stage(std::uint64_t lo, std::uint64_t hi,
     auto table = make_table();
     double warm = stage_warm;
     for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::uint64_t n = lo + static_cast<std::uint64_t>(c) * chunk;
-      const auto r = process_component(n, warm, ladder_exact(n),
-                                       table ? &*table : nullptr);
+      const std::uint64_t n = lo + static_cast<std::uint64_t>(c) * kSweepChunk;
+      const auto r = process_component(n, warm, ladder_exact(n), table);
       const std::size_t k = static_cast<std::size_t>(n - n_min);
       log_w[k] = r.log_w;
       zetas[k] = r.zeta;
@@ -392,23 +289,15 @@ std::uint64_t Vb2Estimator::sweep_stage(std::uint64_t lo, std::uint64_t hi,
   // head; the lgamma ladder reseeds exactly at every head.
   std::vector<std::uint64_t> body_iters(n_chunks, 0);
   m::parallel_for(n_chunks, opt_.threads, [&](std::size_t c) {
-    const std::uint64_t head = lo + static_cast<std::uint64_t>(c) * chunk;
-    const std::uint64_t end = std::min(hi, head + chunk - 1);
+    const std::uint64_t head = lo + static_cast<std::uint64_t>(c) * kSweepChunk;
+    const std::uint64_t end = std::min(hi, head + kSweepChunk - 1);
     if (end == head) return;
     auto table = make_table();
     LadderTerms lt = ladder_exact(head);
-    std::uint64_t since_exact = 0;
     double warm = head_xi[c];
     for (std::uint64_t n = head + 1; n <= end; ++n) {
-      if (opt_.use_lgamma_recurrence && since_exact < resync) {
-        ladder_advance(lt, n - 1);
-        ++since_exact;
-      } else {
-        lt = ladder_exact(n);
-        since_exact = 0;
-      }
-      const auto r =
-          process_component(n, warm, lt, table ? &*table : nullptr);
+      ladder_advance(lt, n - 1);
+      const auto r = process_component(n, warm, lt, table);
       const std::size_t k = static_cast<std::size_t>(n - n_min);
       log_w[k] = r.log_w;
       zetas[k] = r.zeta;

@@ -45,6 +45,24 @@ class GroupedMassTable;
 
 namespace vbsrm::core {
 
+/// Solver for the per-component (zeta, xi) fixed point.  All three stop
+/// on the same |g(xi) - xi| residual bound, so they accept the same xi
+/// to solver tolerance; only the cost differs (ablation A3).
+enum class FixedPointSolver {
+  /// Aitken delta-squared extrapolation of the substitution map: its
+  /// ~0.7-rate linear contraction becomes quadratic, cutting ~70 zeta
+  /// evaluations per component to under 10.
+  steffensen,
+  /// The paper's plain successive substitution on Eqs. (24)-(27).
+  substitution,
+  /// Newton on the residual g(xi) - xi (the paper's Sec. 6 conjecture).
+  newton,
+};
+
+/// Options of the VB2 fit.  The paper's algorithm has one production
+/// path; the remaining switches are its tuning constants (n_max,
+/// epsilon, the fixed-point tolerance), the ablation arms (solver,
+/// use_closed_form, adapt_n_max) and the thread count.
 struct Vb2Options {
   std::uint64_t n_max = 200;       // initial truncation point
   double epsilon = 5e-15;          // Step-4 tolerance on Pv(n_max)
@@ -55,52 +73,16 @@ struct Vb2Options {
   /// retained mixture already carries virtually all of VB2's own
   /// posterior mass (its tails are far lighter than MCMC's there).
   std::uint64_t n_max_limit = 8192;
-  double fixed_point_tol = 1e-13;  // successive-substitution tolerance
+  double fixed_point_tol = 1e-13;  // |g(xi) - xi| stopping tolerance
   int fixed_point_max_iter = 500;
   /// Use the GO closed form when available (alpha0 == 1, failure times).
   bool use_closed_form = true;
-  /// Newton acceleration for the fixed point instead of plain
-  /// successive substitution (ablation A3).
-  bool use_newton = false;
-
-  // ---- Hot-path controls.  The defaults enable the fast paths; the
-  // naive settings (threads=1, sweep_chunk=0, use_zeta_table=false,
-  // use_lgamma_recurrence=false) reproduce the pre-optimization code
-  // paths bit-for-bit and are kept for perf baselines and equivalence
-  // tests (see DESIGN.md "Performance architecture"). ----
-
+  FixedPointSolver solver = FixedPointSolver::steffensen;
   /// Worker threads for the chunked component sweep (0 = hardware
-  /// concurrency).  The thread count only changes scheduling, never
-  /// chunk decomposition or warm-start seeding, so results are
-  /// bit-identical for every value.
+  /// concurrency).  Chunk decomposition and warm-start seeding depend
+  /// only on the component range, never on the thread count, so results
+  /// are bit-identical for every value.
   unsigned threads = 1;
-  /// Components per chunk of the deterministic chunked sweep.  Chunk
-  /// heads are solved sequentially (each warm-started from the previous
-  /// head's xi); chunk bodies then solve independently, warm-chaining
-  /// from their own head.  0 disables chunking and restores the legacy
-  /// strictly sequential warm-start chain (implies a serial sweep).
-  std::uint64_t sweep_chunk = 64;
-  /// Evaluate zeta through a per-xi nhpp::GroupedMassTable: each shared
-  /// bin boundary costs one incomplete-gamma pair evaluation per law
-  /// instead of two log-space evaluations per adjacent interval, and
-  /// the converged table is reused for the component's log-weight
-  /// (the naive path re-derives zeta twice per component).
-  bool use_zeta_table = true;
-  /// Advance the objective's lgamma(a_w), lgamma(a_b), lgamma(rd+1)
-  /// terms along the N ladder with lgamma(x+1) = lgamma(x) + log(x)
-  /// recurrences (a_w and rd advance by 1, a_b by alpha0; non-integral
-  /// alpha0 keeps direct evaluation for a_b).  Only active together
-  /// with use_zeta_table.
-  bool use_lgamma_recurrence = true;
-  /// Exactly recompute the recurrence every this many components to
-  /// bound drift; chunk heads always reseed exactly.
-  std::uint64_t lgamma_resync = 64;
-  /// Steffensen (Aitken delta-squared) acceleration of the successive
-  /// substitution: the ~0.7-rate linear contraction of the xi map
-  /// becomes quadratic, cutting ~70 zeta evaluations per component to
-  /// under 10 at the same tolerance.  Off restores the plain
-  /// pre-optimization iteration.  Ignored when use_newton is set.
-  bool use_steffensen = true;
 };
 
 struct Vb2Diagnostics {
@@ -149,19 +131,23 @@ class Vb2Estimator {
   LadderTerms ladder_exact(std::uint64_t n) const;
   void ladder_advance(LadderTerms& lt, std::uint64_t n) const;  // n -> n+1
 
-  /// E-step expectation zeta(xi, N) via GammaFailureLaw (legacy path).
-  double zeta_naive(double xi, double nd) const;
-  /// Same through a boundary table the caller owns as scratch.
+  /// Boundary table over the data's bins (grouped) or the horizon
+  /// (failure times): scratch for zeta and the log-weight.
+  nhpp::GroupedMassTable make_table() const;
+  /// E-step expectation zeta(xi, N) through the caller's scratch table.
   double zeta_from_table(nhpp::GroupedMassTable& table, double xi,
                          double nd) const;
 
-  /// Solve the fixed point from `warm` and score the component.  With a
-  /// scratch `table` the zeta/objective path is the cached one and `lt`
-  /// supplies the lgamma terms; with table == nullptr both follow the
-  /// legacy code (component_objective recomputes zeta).
+  /// Score component N at rate xi: zeta and the unnormalized log Pv(N)
+  /// of Eq. (28), from one table evaluation and the ladder terms `lt`.
+  ComponentResult score_component(std::uint64_t n, double xi,
+                                  const LadderTerms& lt,
+                                  nhpp::GroupedMassTable& table) const;
+  /// Solve the fixed point from `warm` with the configured solver, then
+  /// score the component.
   ComponentResult process_component(std::uint64_t n, double warm,
                                     const LadderTerms& lt,
-                                    nhpp::GroupedMassTable* table) const;
+                                    nhpp::GroupedMassTable& table) const;
 
   /// Solve + score the ladder [lo, hi] (one stage of the adaptive
   /// n_max loop), appending to the per-component arrays which are

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "core/gamma_mixture.hpp"
+#include "core/vb2.hpp"
+#include "data/datasets.hpp"
+#include "math/quadrature.hpp"
+#include "math/roots.hpp"
 #include "math/specfun.hpp"
 #include "nhpp/model.hpp"
+#include "random/distributions.hpp"
 #include "random/rng.hpp"
 #include "stats/descriptive.hpp"
 
@@ -38,6 +44,84 @@ c::GammaMixturePosterior two_components() {
   b.beta = {10.0, 0.8e6};
   return c::GammaMixturePosterior({a, b}, 1.0, 160000.0);
 }
+
+vbsrm::bayes::PriorPair info_priors_dt() {
+  return {vbsrm::bayes::GammaPrior::from_mean_sd(50.0, 15.8),
+          vbsrm::bayes::GammaPrior::from_mean_sd(1e-5, 3.2e-6)};
+}
+
+vbsrm::bayes::PriorPair info_priors_dg() {
+  return {vbsrm::bayes::GammaPrior::from_mean_sd(50.0, 15.8),
+          vbsrm::bayes::GammaPrior::from_mean_sd(3.3e-2, 1.1e-2)};
+}
+
+/// Straightforward reliability functionals to check the cached ones
+/// against: per-call 8 x 24 composite Gauss-Legendre over each beta
+/// marginal's [q(1e-10), q(1 - 1e-10)], GammaFailureLaw interval
+/// masses, math::gamma_q, bisection quantiles, and the same 1e-12
+/// component weight floor.
+class ReferenceReliability {
+ public:
+  explicit ReferenceReliability(const c::GammaMixturePosterior& post)
+      : post_(post), law_{post.alpha0()} {}
+
+  double point(double u) const {
+    double s = 0.0, skipped = 0.0;
+    for (const auto& comp : post_.components()) {
+      if (comp.weight < kFloor) {
+        skipped += comp.weight;
+        continue;
+      }
+      s += comp.weight * integrate_over_beta(comp, [&](double b) {
+             // E[e^{-omega h}] for omega ~ Gamma(a, b_w).
+             return std::pow(comp.omega.rate / (comp.omega.rate + h(b, u)),
+                             comp.omega.shape);
+           });
+    }
+    return s / (1.0 - skipped);
+  }
+
+  double cdf(double x, double u) const {
+    const double neg_log_x = -std::log(x);
+    double s = 0.0, kept = 0.0;
+    for (const auto& comp : post_.components()) {
+      if (comp.weight < kFloor) continue;
+      kept += comp.weight;
+      s += comp.weight * integrate_over_beta(comp, [&](double b) {
+             const double hb = h(b, u);
+             if (!(hb > 0.0)) return 0.0;
+             // P(R <= x | beta) = P(omega >= -log x / h).
+             return m::gamma_q(comp.omega.shape,
+                               comp.omega.rate * neg_log_x / hb);
+           });
+    }
+    return s / kept;
+  }
+
+  double quantile(double p, double u) const {
+    return m::bisect([&](double x) { return cdf(x, u) - p; }, 1e-14,
+                     1.0 - 1e-14, 1e-11, 200)
+        .x;
+  }
+
+ private:
+  static constexpr double kFloor = 1e-12;
+
+  double h(double b, double u) const {
+    return law_.interval_mass(post_.horizon(), post_.horizon() + u, b);
+  }
+
+  template <typename G>
+  double integrate_over_beta(const c::ProductGammaComponent& comp, G&& g) const {
+    static const m::GaussLegendre rule(24);
+    return rule.integrate_composite(
+        [&](double b) { return std::exp(comp.beta.log_pdf(b)) * g(b); },
+        comp.beta.quantile(1e-10), comp.beta.quantile(1.0 - 1e-10), 8);
+  }
+
+  const c::GammaMixturePosterior& post_;
+  vbsrm::nhpp::GammaFailureLaw law_;
+};
 
 TEST(GammaParams, MomentsQuantileCdfAgree) {
   const c::GammaParams g{5.0, 2.0};
@@ -151,6 +235,62 @@ TEST(Mixture, SamplingMatchesMoments) {
   EXPECT_NEAR(vbsrm::stats::variance(omega), s.var_omega, 2.5);
   EXPECT_NEAR(vbsrm::stats::mean(beta), s.mean_beta, 1e-7);
   EXPECT_NEAR(vbsrm::stats::covariance(omega, beta), s.cov, 3e-5);
+}
+
+TEST(Vb2PerfEquivalence, BinarySearchSamplePreservesDrawSequence) {
+  const c::Vb2Estimator vb(1.0, vbsrm::data::datasets::system17_grouped(),
+                           info_priors_dg());
+  const auto& post = vb.posterior();
+
+  // Reference: a linear subtractive scan over the weights.
+  auto linear_sample = [&](vbsrm::random::Rng& rng) {
+    double u = rng.next_double();
+    const c::ProductGammaComponent* pick = &post.components().back();
+    for (const auto& comp : post.components()) {
+      if (u < comp.weight) {
+        pick = &comp;
+        break;
+      }
+      u -= comp.weight;
+    }
+    return std::pair<double, double>{
+        vbsrm::random::sample_gamma(rng, pick->omega.shape,
+                                    pick->omega.rate),
+        vbsrm::random::sample_gamma(rng, pick->beta.shape,
+                                    pick->beta.rate)};
+  };
+
+  vbsrm::random::Rng r1(12345), r2(12345);
+  for (int i = 0; i < 20000; ++i) {
+    const auto a = post.sample(r1);
+    const auto bb = linear_sample(r2);
+    ASSERT_EQ(a.first, bb.first) << "draw " << i;
+    ASSERT_EQ(a.second, bb.second) << "draw " << i;
+  }
+}
+
+TEST(Vb2PerfEquivalence, FunctionalCacheMatchesNaiveOnTableScenarios) {
+  // Point / cdf / quantile through the quadrature cache agree with the
+  // naive ReferenceReliability to 1e-10 on the Table 4/5 posteriors.
+  const c::Vb2Estimator vt(1.0, vbsrm::data::datasets::system17_failure_times(),
+                           info_priors_dt());
+  const c::Vb2Estimator vg(1.0, vbsrm::data::datasets::system17_grouped(),
+                           info_priors_dg());
+  for (const auto* post : {&vt.posterior(), &vg.posterior()}) {
+    const ReferenceReliability ref(*post);
+    for (const double u : {0.01 * post->horizon(), 0.1 * post->horizon(),
+                           0.5 * post->horizon()}) {
+      EXPECT_NEAR(post->reliability_point(u), ref.point(u), 1e-10);
+      for (const double x : {0.2, 0.5, 0.9}) {
+        EXPECT_NEAR(post->reliability_cdf(x, u), ref.cdf(x, u), 1e-10);
+      }
+      for (const double p : {0.05, 0.5, 0.95}) {
+        EXPECT_NEAR(post->reliability_quantile(p, u), ref.quantile(p, u),
+                    1e-10)
+            << "p=" << p << " u=" << u;
+      }
+    }
+  }
 }
 
 TEST(MixtureReliability, SingleComponentClosedFormInOmega) {

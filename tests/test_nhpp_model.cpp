@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "data/datasets.hpp"
 #include "nhpp/model.hpp"
 
 namespace n = vbsrm::nhpp;
@@ -131,6 +132,42 @@ TEST(GammaFailureLaw, TruncatedMeanDeepTailStable) {
   const n::GammaFailureLaw law{1.0};
   const double m = law.truncated_mean(200.0, kInf, 1.0);
   EXPECT_NEAR(m, 201.0, 1e-6);
+}
+
+TEST(Vb2PerfEquivalence, GroupedMassTableMatchesFailureLaw) {
+  // The per-beta boundary table (Erlang closed form for integral
+  // alpha0, pair kernel otherwise) against the log-space reference law.
+  const auto dg = vbsrm::data::datasets::system17_grouped();
+  for (const double alpha0 : {1.0, 2.0, 2.7}) {
+    const n::GammaFailureLaw law{alpha0};
+    n::GroupedMassTable table(alpha0, dg.boundaries());
+    for (const double beta : {1e-4, 3.3e-2, 0.5, 5.0}) {
+      table.evaluate(beta);
+      double prev = 0.0;
+      for (std::size_t i = 0; i < table.bins(); ++i) {
+        const double s = dg.boundaries()[i];
+        const double ref = law.interval_mass(prev, s, beta);
+        EXPECT_NEAR(table.interval_mass(i), ref, 1e-12 * ref + 1e-280)
+            << "alpha0=" << alpha0 << " beta=" << beta << " bin=" << i;
+        if (ref > 1e-280) {
+          EXPECT_NEAR(table.truncated_mean(i),
+                      law.truncated_mean(prev, s, beta),
+                      1e-10 * law.truncated_mean(prev, s, beta));
+          EXPECT_NEAR(table.log_interval_mass(i),
+                      law.log_interval_mass(prev, s, beta), 1e-10);
+        }
+        prev = s;
+      }
+      const double tail_ref = law.survival(prev, beta);
+      EXPECT_NEAR(table.tail_survival(), tail_ref,
+                  1e-12 * tail_ref + 1e-280);
+      if (tail_ref > 1e-280) {
+        EXPECT_NEAR(table.tail_truncated_mean(),
+                    law.truncated_mean(prev, kInf, beta),
+                    1e-10 * law.truncated_mean(prev, kInf, beta));
+      }
+    }
+  }
 }
 
 TEST(ModelName, DescriptiveStrings) {

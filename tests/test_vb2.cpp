@@ -5,10 +5,15 @@
 //     objective (so the iteration really maximizes F[Pv]);
 //   * the adaptive n_max loop satisfies the paper's Step-4 criterion;
 //   * the resulting posterior matches conjugate oracles in degenerate
-//     regimes and carries the omega-beta correlation VB1 cannot.
+//     regimes and carries the omega-beta correlation VB1 cannot;
+//   * the sweep is thread-count invariant, its lgamma ladder matches
+//     direct evaluation, and every fixed-point solver lands on the same
+//     posterior.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 
 #include "core/vb2.hpp"
 #include "data/datasets.hpp"
@@ -29,6 +34,31 @@ b::PriorPair info_priors_dt() {
 b::PriorPair info_priors_dg() {
   return {b::GammaPrior::from_mean_sd(50.0, 15.8),
           b::GammaPrior::from_mean_sd(3.3e-2, 1.1e-2)};
+}
+
+/// Compare two fits component-by-component (aligned on N) and on the
+/// summary moments; `rel` absorbs fixed-point-tolerance differences.
+void expect_posteriors_close(const c::GammaMixturePosterior& a,
+                             const c::GammaMixturePosterior& bb,
+                             double rel) {
+  std::map<std::uint64_t, const c::ProductGammaComponent*> by_n;
+  for (const auto& comp : bb.components()) by_n[comp.n] = &comp;
+  for (const auto& comp : a.components()) {
+    if (comp.weight < 1e-12) continue;  // pruning-boundary components
+    const auto it = by_n.find(comp.n);
+    ASSERT_NE(it, by_n.end()) << "missing component N=" << comp.n;
+    EXPECT_NEAR(comp.weight, it->second->weight, rel + rel * comp.weight)
+        << "N=" << comp.n;
+    EXPECT_NEAR(comp.beta.rate, it->second->beta.rate,
+                rel * comp.beta.rate)
+        << "N=" << comp.n;
+  }
+  const auto sa = a.summary();
+  const auto sb = bb.summary();
+  EXPECT_NEAR(sa.mean_omega, sb.mean_omega, rel * sa.mean_omega);
+  EXPECT_NEAR(sa.mean_beta, sb.mean_beta, rel * sa.mean_beta);
+  EXPECT_NEAR(sa.var_omega, sb.var_omega, 100 * rel * sa.var_omega);
+  EXPECT_NEAR(sa.var_beta, sb.var_beta, 100 * rel * sa.var_beta);
 }
 
 TEST(Vb2, ClosedFormMatchesFixedPointSolver) {
@@ -149,13 +179,79 @@ TEST(Vb2, ConjugateOracleWithoutCensoring) {
 TEST(Vb2, NewtonSolverMatchesSuccessiveSubstitution) {
   const auto dg = d::datasets::system17_grouped();
   c::Vb2Options ss, nw;
-  nw.use_newton = true;
+  ss.solver = c::FixedPointSolver::substitution;
+  nw.solver = c::FixedPointSolver::newton;
   const c::Vb2Estimator a(1.0, dg, info_priors_dg(), ss);
   const c::Vb2Estimator b2(1.0, dg, info_priors_dg(), nw);
   EXPECT_NEAR(a.posterior().summary().mean_omega,
               b2.posterior().summary().mean_omega, 1e-6 * 50);
   EXPECT_NEAR(a.posterior().summary().mean_beta,
               b2.posterior().summary().mean_beta, 1e-8);
+}
+
+// The Vb2PerfEquivalence suite (here, in test_nhpp_model and in
+// test_gamma_mixture) checks each hot-path shortcut against the
+// straightforward computation it replaces.
+TEST(Vb2PerfEquivalence, SteffensenMatchesPlainSubstitution) {
+  // Acceleration changes how fast the xi fixed point is reached, never
+  // which xi is accepted: both solvers stop on the same residual bound.
+  const auto dg = d::datasets::system17_grouped();
+  c::Vb2Options accel, plain;
+  plain.solver = c::FixedPointSolver::substitution;
+  const c::Vb2Estimator a(1.0, dg, info_priors_dg(), accel);
+  const c::Vb2Estimator b2(1.0, dg, info_priors_dg(), plain);
+  expect_posteriors_close(a.posterior(), b2.posterior(), 1e-9);
+  EXPECT_LT(a.diagnostics().total_fixed_point_iterations,
+            b2.diagnostics().total_fixed_point_iterations / 3);
+}
+
+TEST(Vb2PerfEquivalence, ThreadCountIsBitIrrelevant) {
+  // Chunk decomposition and warm-start seeding depend only on the
+  // component range, so any thread count must give bit-identical output.
+  const auto dg = d::datasets::system17_grouped();
+  c::Vb2Options o1, o2, o4;
+  o1.threads = 1;
+  o2.threads = 2;
+  o4.threads = 4;
+  const c::Vb2Estimator e1(1.0, dg, info_priors_dg(), o1);
+  const c::Vb2Estimator e2(1.0, dg, info_priors_dg(), o2);
+  const c::Vb2Estimator e4(1.0, dg, info_priors_dg(), o4);
+  const auto& c1 = e1.posterior().components();
+  const auto& c2 = e2.posterior().components();
+  const auto& c4 = e4.posterior().components();
+  ASSERT_EQ(c1.size(), c2.size());
+  ASSERT_EQ(c1.size(), c4.size());
+  for (std::size_t i = 0; i < c1.size(); ++i) {
+    EXPECT_EQ(c1[i].weight, c2[i].weight);
+    EXPECT_EQ(c1[i].beta.rate, c2[i].beta.rate);
+    EXPECT_EQ(c1[i].weight, c4[i].weight);
+    EXPECT_EQ(c1[i].beta.rate, c4[i].beta.rate);
+  }
+  EXPECT_EQ(e1.diagnostics().total_fixed_point_iterations,
+            e2.diagnostics().total_fixed_point_iterations);
+  EXPECT_EQ(e1.diagnostics().total_fixed_point_iterations,
+            e4.diagnostics().total_fixed_point_iterations);
+}
+
+TEST(Vb2PerfEquivalence, LgammaRecurrenceMatchesDirectEvaluation) {
+  // The sweep advances the objective's lgamma terms by recurrence
+  // between exact reseeds; component_objective evaluates them directly.
+  // Rescoring every component that way must reproduce its weight.
+  const auto dg = d::datasets::system17_grouped();
+  for (const double alpha0 : {1.0, 2.0, 2.7}) {
+    const c::Vb2Estimator vb(alpha0, dg, info_priors_dg());
+    const double log_z = vb.diagnostics().log_evidence_bound;
+    for (const auto& comp : vb.posterior().components()) {
+      if (comp.weight < 1e-12) continue;
+      const auto [zeta, xi] = vb.solve_component(comp.n);
+      EXPECT_NEAR(comp.beta.rate, info_priors_dg().beta.rate + zeta,
+                  1e-9 * comp.beta.rate)
+          << "alpha0=" << alpha0 << " N=" << comp.n;
+      EXPECT_NEAR(std::exp(vb.component_objective(comp.n, xi) - log_z),
+                  comp.weight, 1e-9 * comp.weight)
+          << "alpha0=" << alpha0 << " N=" << comp.n;
+    }
+  }
 }
 
 TEST(Vb2, GroupedAndTimeDataAgreeOnFineBins) {
