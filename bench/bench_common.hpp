@@ -1,16 +1,13 @@
 // Shared scaffolding for the reproduction benches: the paper's prior
-// scenarios, engine requests for them, VB2-guided NINT boxes,
-// wall-clock timing, and fixed-width table printing with
-// paper-vs-measured rows.
+// scenarios, engine requests for them, wall-clock timing, and
+// fixed-width table printing with paper-vs-measured rows.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 
-#include "bayes/nint.hpp"
 #include "bayes/prior.hpp"
-#include "core/vb2.hpp"
 #include "data/datasets.hpp"
 #include "engine/batch.hpp"
 #include "engine/registry.hpp"
@@ -52,14 +49,6 @@ inline bayes::PriorPair info_priors_dg() {
 
 /// The paper's "NoInfo" scenario: flat densities.
 inline bayes::PriorPair noinfo_priors() { return bayes::PriorPair::flat(); }
-
-/// The paper's NINT integration-box rule, driven by VB2 quantiles.
-inline bayes::Box nint_box_from_vb2(const core::Vb2Estimator& vb2) {
-  return bayes::Box::from_quantiles(vb2.posterior().quantile_omega(0.005),
-                                    vb2.posterior().quantile_omega(0.995),
-                                    vb2.posterior().quantile_beta(0.005),
-                                    vb2.posterior().quantile_beta(0.995));
-}
 
 /// Wall-clock seconds of a callable.
 template <typename F>

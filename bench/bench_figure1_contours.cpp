@@ -16,8 +16,11 @@
 
 #include "bayes/gibbs.hpp"
 #include "bayes/laplace.hpp"
+#include "bayes/nint.hpp"
 #include "bench_common.hpp"
 #include "core/vb1.hpp"
+#include "core/vb2.hpp"
+#include "engine/estimator.hpp"
 #include "stats/histogram.hpp"
 
 using namespace vbsrm;
@@ -76,7 +79,8 @@ int main() {
 
   const core::Vb2Estimator vb2(1.0, dg, priors);
   const bayes::LogPosterior post(1.0, dg, priors);
-  const bayes::NintEstimator nint(post, nint_box_from_vb2(vb2));
+  const bayes::NintEstimator nint(post,
+                                  engine::nint_box_from(vb2.posterior()));
   const bayes::LaplaceEstimator lap(post);
   const core::Vb1Estimator vb1(1.0, dg, priors);
 

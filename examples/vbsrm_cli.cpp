@@ -232,7 +232,7 @@ int cmd_compare(int argc, char** argv) {
 }
 
 int cmd_methods() {
-  for (const auto& name : engine::method_names()) {
+  for (const auto& name : engine::registered_methods()) {
     std::printf("%s\n", name.c_str());
   }
   return 0;

@@ -23,9 +23,9 @@ double total_log_marginal_with_starts(
   double total = 0.0;
   for (std::size_t k = 0; k < projects.size(); ++k) {
     LogPosterior post(alpha0, projects[k], priors);
-    LaplaceOptions lo;
-    if (!starts.empty()) lo.start = starts[k];
-    const LaplaceEstimator lap(std::move(post), lo);
+    const LaplaceEstimator lap(
+        std::move(post),
+        starts.empty() ? std::pair{0.0, 0.0} : starts[k]);
     total += lap.log_marginal_likelihood();
   }
   return total;

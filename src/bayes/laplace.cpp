@@ -10,9 +10,14 @@ namespace vbsrm::bayes {
 
 namespace m = vbsrm::math;
 
-LaplaceEstimator::LaplaceEstimator(LogPosterior posterior, LaplaceOptions opt)
+namespace {
+constexpr int kMapMaxIterations = 4000;  // Nelder-Mead iteration cap
+}
+
+LaplaceEstimator::LaplaceEstimator(LogPosterior posterior,
+                                   std::pair<double, double> start)
     : posterior_(std::move(posterior)), cov_(2, 2) {
-  auto [o0, b0] = opt.start;
+  auto [o0, b0] = start;
   if (!(o0 > 0.0) || !(b0 > 0.0)) {
     // Heuristic start: a bit more faults than observed, failure-law
     // mean at ~60% of the horizon.
@@ -26,7 +31,7 @@ LaplaceEstimator::LaplaceEstimator(LogPosterior posterior, LaplaceOptions opt)
     return std::isfinite(v) ? -v : 1e300;
   };
   m::NelderMeadOptions nm;
-  nm.max_iter = opt.max_iterations;
+  nm.max_iter = kMapMaxIterations;
   nm.restarts = 2;
   const auto sol = m::nelder_mead(nlp, {std::log(o0), std::log(b0)}, nm);
   map_omega_ = std::exp(sol.x[0]);

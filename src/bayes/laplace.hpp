@@ -10,20 +10,20 @@
 // reported as-is and flagged by `reliability_estimate_out_of_range`.
 #pragma once
 
+#include <utility>
+
 #include "bayes/posterior.hpp"
 #include "bayes/summary.hpp"
 #include "math/linalg.hpp"
 
 namespace vbsrm::bayes {
 
-struct LaplaceOptions {
-  std::pair<double, double> start = {0.0, 0.0};  // {0,0} = auto heuristic
-  int max_iterations = 4000;
-};
-
 class LaplaceEstimator {
  public:
-  LaplaceEstimator(LogPosterior posterior, LaplaceOptions opt = {});
+  /// `start` = (omega, beta) where the MAP search begins; a non-positive
+  /// entry (the default) picks a heuristic start from the data.
+  explicit LaplaceEstimator(LogPosterior posterior,
+                            std::pair<double, double> start = {0.0, 0.0});
 
   double map_omega() const { return map_omega_; }
   double map_beta() const { return map_beta_; }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "math/parallel.hpp"
 #include "stats/descriptive.hpp"
 
 namespace vbsrm::bayes {
@@ -37,24 +36,17 @@ namespace {
 
 template <typename RunOne>
 MultiChainResult run_chains(int n_chains, double alpha0, double horizon,
-                            const McmcOptions& base, unsigned threads,
-                            RunOne&& run_one) {
+                            const McmcOptions& base, RunOne&& run_one) {
   if (n_chains < 2) {
     throw std::invalid_argument("run_chains: need >= 2 chains");
   }
-  // Each chain fills its preassigned slot; the reductions below walk
-  // the slots in index order, so any thread count gives the bytes the
-  // serial loop produced (math/parallel.hpp determinism contract).
-  std::vector<ChainResult> slots(
-      static_cast<std::size_t>(n_chains),
-      ChainResult({1.0}, {1.0}, alpha0, horizon, 0));
-  math::parallel_for(
-      static_cast<std::size_t>(n_chains), threads, [&](std::size_t c) {
-        McmcOptions opt = base;
-        opt.seed =
-            base.seed + 0x9E3779B9ull * static_cast<std::uint64_t>(c + 1);
-        slots[c] = run_one(opt);
-      });
+  std::vector<ChainResult> runs;
+  runs.reserve(static_cast<std::size_t>(n_chains));
+  for (int c = 0; c < n_chains; ++c) {
+    McmcOptions opt = base;
+    opt.seed = base.seed + 0x9E3779B9ull * static_cast<std::uint64_t>(c + 1);
+    runs.push_back(run_one(opt));
+  }
 
   MultiChainResult out{.chains = {},
                        .rhat_omega = 0.0,
@@ -63,7 +55,7 @@ MultiChainResult run_chains(int n_chains, double alpha0, double horizon,
   std::vector<std::vector<double>> omegas, betas;
   std::vector<double> pooled_omega, pooled_beta;
   std::size_t variates = 0;
-  for (ChainResult& chain : slots) {
+  for (ChainResult& chain : runs) {
     omegas.push_back(chain.omega());
     betas.push_back(chain.beta());
     pooled_omega.insert(pooled_omega.end(), chain.omega().begin(),
@@ -85,9 +77,8 @@ MultiChainResult run_chains(int n_chains, double alpha0, double horizon,
 MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
                                             const data::FailureTimeData& d,
                                             const PriorPair& priors,
-                                            const McmcOptions& base,
-                                            unsigned threads) {
-  return run_chains(n_chains, alpha0, d.observation_end(), base, threads,
+                                            const McmcOptions& base) {
+  return run_chains(n_chains, alpha0, d.observation_end(), base,
                     [&](const McmcOptions& opt) {
                       return gibbs_failure_times(alpha0, d, priors, opt);
                     });
@@ -96,9 +87,8 @@ MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
 MultiChainResult gibbs_grouped_chains(int n_chains, double alpha0,
                                       const data::GroupedData& d,
                                       const PriorPair& priors,
-                                      const McmcOptions& base,
-                                      unsigned threads) {
-  return run_chains(n_chains, alpha0, d.observation_end(), base, threads,
+                                      const McmcOptions& base) {
+  return run_chains(n_chains, alpha0, d.observation_end(), base,
                     [&](const McmcOptions& opt) {
                       return gibbs_grouped(alpha0, d, priors, opt);
                     });

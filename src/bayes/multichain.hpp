@@ -3,11 +3,8 @@
 // Gelman-Rubin), and pool the draws.  Production users should not trust
 // a single chain; this wraps the discipline up.
 //
-// Chains are embarrassingly parallel: each one is seeded independently
-// (splitmix of the base seed and the chain index) and writes its result
-// into a preassigned slot, so running with `threads > 1` is
-// bit-identical to the serial run — the math::parallel_for determinism
-// contract.
+// Chain c is seeded from the base seed and its index alone, and the
+// chains are pooled in index order.
 #pragma once
 
 #include <vector>
@@ -31,18 +28,14 @@ struct MultiChainResult {
 /// Cross-chain R-hat for an arbitrary selector over equal-length chains.
 double cross_chain_rhat(const std::vector<std::vector<double>>& chains);
 
-/// `threads` bounds the worker pool running the chains (1 = serial,
-/// 0 = hardware concurrency); the result is identical for any value.
 MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
                                             const data::FailureTimeData& d,
                                             const PriorPair& priors,
-                                            const McmcOptions& base = {},
-                                            unsigned threads = 1);
+                                            const McmcOptions& base = {});
 
 MultiChainResult gibbs_grouped_chains(int n_chains, double alpha0,
                                       const data::GroupedData& d,
                                       const PriorPair& priors,
-                                      const McmcOptions& base = {},
-                                      unsigned threads = 1);
+                                      const McmcOptions& base = {});
 
 }  // namespace vbsrm::bayes

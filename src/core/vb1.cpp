@@ -13,27 +13,28 @@ namespace m = vbsrm::math;
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Coordinate ascent stops once (E[N], xi) change by less than kTol
+/// (relative), or after kMaxIterations sweeps.
+constexpr double kTol = 1e-12;
+constexpr int kMaxIterations = 2000;
 }
 
 Vb1Estimator::Vb1Estimator(double alpha0, const data::FailureTimeData& d,
-                           const bayes::PriorPair& priors,
-                           const Vb1Options& opt) {
+                           const bayes::PriorPair& priors) {
   run(alpha0, priors, /*grouped=*/false, d.count(), d.observation_end(),
-      d.total_time(), {}, {}, opt);
+      d.total_time(), {}, {});
 }
 
 Vb1Estimator::Vb1Estimator(double alpha0, const data::GroupedData& d,
-                           const bayes::PriorPair& priors,
-                           const Vb1Options& opt) {
+                           const bayes::PriorPair& priors) {
   run(alpha0, priors, /*grouped=*/true, d.total_failures(),
-      d.observation_end(), 0.0, d.boundaries(), d.counts(), opt);
+      d.observation_end(), 0.0, d.boundaries(), d.counts());
 }
 
 void Vb1Estimator::run(double alpha0, const bayes::PriorPair& priors,
                        bool grouped, std::uint64_t observed, double horizon,
                        double sum_t, const std::vector<double>& bounds,
-                       const std::vector<std::size_t>& counts,
-                       const Vb1Options& opt) {
+                       const std::vector<std::size_t>& counts) {
   if (!(alpha0 > 0.0)) throw std::invalid_argument("Vb1: alpha0 must be > 0");
   if (observed == 0) {
     throw std::invalid_argument(
@@ -61,7 +62,7 @@ void Vb1Estimator::run(double alpha0, const bayes::PriorPair& priors,
   double xi = alpha0 / (0.6 * horizon);
 
   diag_ = {};
-  for (int it = 1; it <= opt.max_iterations; ++it) {
+  for (int it = 1; it <= kMaxIterations; ++it) {
     // q(mu) given current E[N], E[sum T].
     const double e_sum_t =
         observed_time(xi) + (e_n - md) * law.truncated_mean(horizon, kInf, xi);
@@ -85,7 +86,7 @@ void Vb1Estimator::run(double alpha0, const bayes::PriorPair& priors,
     e_n = e_n_new;
     xi = xi_new;
     diag_.iterations = it;
-    if (delta < opt.tol) {
+    if (delta < kTol) {
       diag_.converged = true;
       break;
     }

@@ -30,11 +30,6 @@
 
 namespace vbsrm::core {
 
-struct Vb1Options {
-  double tol = 1e-12;       // relative change of (E[N], xi) to stop
-  int max_iterations = 2000;
-};
-
 struct Vb1Diagnostics {
   int iterations = 0;
   bool converged = false;
@@ -44,9 +39,9 @@ struct Vb1Diagnostics {
 class Vb1Estimator {
  public:
   Vb1Estimator(double alpha0, const data::FailureTimeData& d,
-               const bayes::PriorPair& priors, const Vb1Options& opt = {});
+               const bayes::PriorPair& priors);
   Vb1Estimator(double alpha0, const data::GroupedData& d,
-               const bayes::PriorPair& priors, const Vb1Options& opt = {});
+               const bayes::PriorPair& priors);
 
   const GammaMixturePosterior& posterior() const { return *posterior_; }
   const Vb1Diagnostics& diagnostics() const { return diag_; }
@@ -55,7 +50,7 @@ class Vb1Estimator {
   void run(double alpha0, const bayes::PriorPair& priors, bool grouped,
            std::uint64_t observed, double horizon, double sum_t,
            const std::vector<double>& bounds,
-           const std::vector<std::size_t>& counts, const Vb1Options& opt);
+           const std::vector<std::size_t>& counts);
 
   std::optional<GammaMixturePosterior> posterior_;
   Vb1Diagnostics diag_;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/parallel.hpp"
 #include "math/roots.hpp"
 #include "math/specfun.hpp"
 #include "nhpp/model.hpp"
@@ -23,6 +22,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// ladder reseeds exactly at every chunk head, so it also bounds the
 /// recurrence drift to kSweepChunk - 1 steps.
 constexpr std::uint64_t kSweepChunk = 64;
+
+/// Stopping tolerance on |g(xi) - xi| and iteration cap shared by the
+/// three fixed-point solvers.
+constexpr double kFixedPointTol = 1e-13;
+constexpr int kFixedPointMaxIter = 500;
 
 /// True when alpha0 is a (small) positive integer, which makes the
 /// lgamma(a_b) ladder advance by whole steps.
@@ -203,13 +207,12 @@ Vb2Estimator::ComponentResult Vb2Estimator::process_component(
         // satisfies the identical residual bound.
         double x = warm;
         std::uint64_t evals = 0;
-        const auto limit =
-            static_cast<std::uint64_t>(opt_.fixed_point_max_iter);
+        const auto limit = static_cast<std::uint64_t>(kFixedPointMaxIter);
         while (evals + 2 <= limit) {
           const double x1 = g(x);
           ++evals;
           if (std::abs(x1 - x) <=
-              opt_.fixed_point_tol * std::max(1.0, std::abs(x1))) {
+              kFixedPointTol * std::max(1.0, std::abs(x1))) {
             x = x1;
             break;
           }
@@ -234,15 +237,14 @@ Vb2Estimator::ComponentResult Vb2Estimator::process_component(
           return (f(x + h) - f(x - h)) / (2.0 * h);
         };
         const auto r = m::newton(f, df, warm, warm * 1e-3, warm * 1e3,
-                                 opt_.fixed_point_tol,
-                                 opt_.fixed_point_max_iter);
+                                 kFixedPointTol, kFixedPointMaxIter);
         xi = r.x;
         iterations = static_cast<std::uint64_t>(r.iterations);
         break;
       }
       case FixedPointSolver::substitution: {
-        const auto r = m::fixed_point(g, warm, opt_.fixed_point_tol,
-                                      opt_.fixed_point_max_iter);
+        const auto r =
+            m::fixed_point(g, warm, kFixedPointTol, kFixedPointMaxIter);
         xi = r.x;
         iterations = static_cast<std::uint64_t>(r.iterations);
         break;
@@ -261,54 +263,28 @@ std::uint64_t Vb2Estimator::sweep_stage(std::uint64_t lo, std::uint64_t hi,
                                         std::vector<double>& log_w,
                                         std::vector<double>& zetas,
                                         std::vector<double>& xis) const {
-  // Chunked sweep: decomposition and seeding depend only on the range,
-  // never on the thread count.
-  const std::size_t n_chunks =
-      static_cast<std::size_t>((hi - lo) / kSweepChunk) + 1;
-
-  // Pass 1: chunk heads, solved in order with a chained warm start.
-  std::vector<double> head_xi(n_chunks);
-  std::uint64_t head_iters = 0;
-  {
-    auto table = make_table();
-    double warm = stage_warm;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::uint64_t n = lo + static_cast<std::uint64_t>(c) * kSweepChunk;
-      const auto r = process_component(n, warm, ladder_exact(n), table);
-      const std::size_t k = static_cast<std::size_t>(n - n_min);
-      log_w[k] = r.log_w;
-      zetas[k] = r.zeta;
-      xis[k] = r.xi;
-      head_xi[c] = r.xi;
-      warm = r.xi;
-      head_iters += r.iterations;
-    }
-  }
-
-  // Pass 2: chunk bodies in parallel, each warm-chained from its own
-  // head; the lgamma ladder reseeds exactly at every head.
-  std::vector<std::uint64_t> body_iters(n_chunks, 0);
-  m::parallel_for(n_chunks, opt_.threads, [&](std::size_t c) {
-    const std::uint64_t head = lo + static_cast<std::uint64_t>(c) * kSweepChunk;
+  // Chunked sweep: each chunk head warm-starts from the previous head
+  // and reseeds the lgamma ladder exactly; its body warm-chains from
+  // the head.  The chunk layout fixes the warm starts, hence the bits.
+  auto table = make_table();
+  std::uint64_t iters = 0;
+  double head_warm = stage_warm;
+  for (std::uint64_t head = lo; head <= hi; head += kSweepChunk) {
     const std::uint64_t end = std::min(hi, head + kSweepChunk - 1);
-    if (end == head) return;
-    auto table = make_table();
     LadderTerms lt = ladder_exact(head);
-    double warm = head_xi[c];
-    for (std::uint64_t n = head + 1; n <= end; ++n) {
-      ladder_advance(lt, n - 1);
+    double warm = head_warm;
+    for (std::uint64_t n = head; n <= end; ++n) {
+      if (n != head) ladder_advance(lt, n - 1);
       const auto r = process_component(n, warm, lt, table);
       const std::size_t k = static_cast<std::size_t>(n - n_min);
       log_w[k] = r.log_w;
       zetas[k] = r.zeta;
       xis[k] = r.xi;
       warm = r.xi;
-      body_iters[c] += r.iterations;
+      iters += r.iterations;
     }
-  });
-
-  std::uint64_t iters = head_iters;
-  for (const std::uint64_t it : body_iters) iters += it;
+    head_warm = xis[static_cast<std::size_t>(head - n_min)];
+  }
   stage_warm = xis[static_cast<std::size_t>(hi - n_min)];
   return iters;
 }

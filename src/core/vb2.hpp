@@ -61,8 +61,9 @@ enum class FixedPointSolver {
 
 /// Options of the VB2 fit.  The paper's algorithm has one production
 /// path; the remaining switches are its tuning constants (n_max,
-/// epsilon, the fixed-point tolerance), the ablation arms (solver,
-/// use_closed_form, adapt_n_max) and the thread count.
+/// epsilon, the adaptation cap) and the ablation arms (solver,
+/// use_closed_form, adapt_n_max).  The fixed-point tolerance (1e-13)
+/// and iteration cap (500) are constants of vb2.cpp.
 struct Vb2Options {
   std::uint64_t n_max = 200;       // initial truncation point
   double epsilon = 5e-15;          // Step-4 tolerance on Pv(n_max)
@@ -73,16 +74,9 @@ struct Vb2Options {
   /// retained mixture already carries virtually all of VB2's own
   /// posterior mass (its tails are far lighter than MCMC's there).
   std::uint64_t n_max_limit = 8192;
-  double fixed_point_tol = 1e-13;  // |g(xi) - xi| stopping tolerance
-  int fixed_point_max_iter = 500;
   /// Use the GO closed form when available (alpha0 == 1, failure times).
   bool use_closed_form = true;
   FixedPointSolver solver = FixedPointSolver::steffensen;
-  /// Worker threads for the chunked component sweep (0 = hardware
-  /// concurrency).  Chunk decomposition and warm-start seeding depend
-  /// only on the component range, never on the thread count, so results
-  /// are bit-identical for every value.
-  unsigned threads = 1;
 };
 
 struct Vb2Diagnostics {

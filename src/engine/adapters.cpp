@@ -3,7 +3,9 @@
 #include <utility>
 
 #include "bayes/gibbs.hpp"
+#include "bayes/laplace.hpp"
 #include "bayes/multichain.hpp"
+#include "core/vb1.hpp"
 
 namespace vbsrm::engine {
 
@@ -78,7 +80,7 @@ class Vb1Adapter final : public Estimator {
   explicit Vb1Adapter(const EstimatorRequest& req)
       : est_(std::visit(
             [&](const auto& d) {
-              return core::Vb1Estimator(req.alpha0, d, req.priors, req.vb1);
+              return core::Vb1Estimator(req.alpha0, d, req.priors);
             },
             req.data)) {
     diag_.iterations =
@@ -111,9 +113,10 @@ class Vb1Adapter final : public Estimator {
 class NintAdapter final : public Estimator {
  public:
   explicit NintAdapter(const EstimatorRequest& req)
-      : est_(log_posterior_for(req), resolve_box(req, diag_), req.nint) {
-    diag_.grid_points_per_axis = static_cast<std::uint64_t>(
-        req.nint.panels) * static_cast<std::uint64_t>(req.nint.order);
+      : est_(log_posterior_for(req), vb2_box(req, diag_)) {
+    const bayes::NintOptions grid;
+    diag_.grid_points_per_axis = static_cast<std::uint64_t>(grid.panels) *
+                                 static_cast<std::uint64_t>(grid.order);
   }
 
   std::string_view method() const override { return "nint"; }
@@ -128,14 +131,11 @@ class NintAdapter final : public Estimator {
                                          double level) const override {
     return est_.reliability(u, level);
   }
-  const bayes::NintEstimator& grid() const { return est_; }
 
  private:
-  /// The paper's box-seeding dependency: without an explicit box, run
-  /// VB2 on the same request and apply the quantile rule.
-  static bayes::Box resolve_box(const EstimatorRequest& req,
-                                Diagnostics& diag) {
-    if (req.nint_box) return *req.nint_box;
+  /// The paper's box-seeding dependency: run VB2 on the same request
+  /// and apply the quantile rule.
+  static bayes::Box vb2_box(const EstimatorRequest& req, Diagnostics& diag) {
     const core::Vb2Estimator vb2 = fit_vb2(req);
     diag.iterations = vb2.diagnostics().total_fixed_point_iterations;
     diag.n_max_used = vb2.diagnostics().n_max_used;
@@ -149,7 +149,7 @@ class NintAdapter final : public Estimator {
 class LaplaceAdapter final : public Estimator {
  public:
   explicit LaplaceAdapter(const EstimatorRequest& req)
-      : est_(log_posterior_for(req), req.laplace) {}
+      : est_(log_posterior_for(req)) {}
 
   std::string_view method() const override { return "laplace"; }
   bayes::PosteriorSummary summarize() const override { return est_.summary(); }
@@ -163,7 +163,6 @@ class LaplaceAdapter final : public Estimator {
                                          double level) const override {
     return est_.reliability(u, level);
   }
-  const bayes::LaplaceEstimator& laplace() const { return est_; }
 
  private:
   bayes::LaplaceEstimator est_;
@@ -192,16 +191,14 @@ class McmcAdapter final : public Estimator {
             if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
                                          data::GroupedData>) {
               return bayes::gibbs_grouped_chains(opt.chains, req.alpha0, d,
-                                                 req.priors, opt.base,
-                                                 opt.chain_threads);
+                                                 req.priors, opt.base);
             } else {
               return bayes::gibbs_failure_times_chains(
-                  opt.chains, req.alpha0, d, req.priors, opt.base,
-                  opt.chain_threads);
+                  opt.chains, req.alpha0, d, req.priors, opt.base);
             }
           },
           req.data);
-      diag_.converged = multi.converged(opt.rhat_threshold);
+      diag_.converged = multi.converged();
       diag_.chains = opt.chains;
       chain_ = std::move(multi.pooled);
     }
@@ -223,7 +220,6 @@ class McmcAdapter final : public Estimator {
                                          double level) const override {
     return chain_->reliability(u, level);
   }
-  const bayes::ChainResult& chain() const { return *chain_; }
 
  private:
   std::optional<bayes::ChainResult> chain_;

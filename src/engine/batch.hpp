@@ -2,7 +2,7 @@
 // paper's entire evaluation protocol as one call:
 //
 //   BatchSpec spec;
-//   spec.methods  = engine::method_names();
+//   spec.methods  = engine::registered_methods();
 //   spec.requests = {dt_info, dt_noinfo, dg_info, dg_noinfo};
 //   spec.levels   = {0.99};
 //   auto reports  = BatchRunner(4).run(spec);

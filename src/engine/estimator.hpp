@@ -19,17 +19,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <variant>
 
 #include "bayes/chain.hpp"
-#include "bayes/laplace.hpp"
 #include "bayes/nint.hpp"
 #include "bayes/prior.hpp"
 #include "bayes/summary.hpp"
 #include "core/gamma_mixture.hpp"
-#include "core/vb1.hpp"
 #include "core/vb2.hpp"
 #include "data/failure_data.hpp"
 
@@ -53,33 +50,25 @@ struct Diagnostics {
 };
 
 /// MCMC knobs beyond bayes::McmcOptions: how many independent chains to
-/// pool (>1 enables the Gelman-Rubin check in `Diagnostics::converged`).
+/// pool (>1 enables the Gelman-Rubin check, R-hat < 1.01, in
+/// `Diagnostics::converged`).
 struct McmcEngineOptions {
   bayes::McmcOptions base;
   int chains = 1;
-  double rhat_threshold = 1.01;
-  /// Worker threads for multi-chain runs (1 = serial, 0 = hardware);
-  /// any value gives bit-identical pooled draws.
-  unsigned chain_threads = 1;
 };
 
 /// Everything needed to fit any method on any dataset: model family
 /// (alpha0), observation scheme (failure-time or grouped), priors, and
-/// the per-method option blocks.  A request is method-agnostic; the
-/// registry picks the block the chosen adapter needs.
+/// the option blocks of the methods that have any.  A request is
+/// method-agnostic; the registry picks the block the chosen adapter
+/// needs.  VB1, NINT and Laplace run at their fixed settings; NINT's
+/// integration box always comes from a VB2 fit with the `vb2` options.
 struct EstimatorRequest {
   double alpha0 = 1.0;  // gamma-type shape: 1 = Goel-Okumoto, 2 = S-shaped
   std::variant<data::FailureTimeData, data::GroupedData> data;
   bayes::PriorPair priors;
 
   core::Vb2Options vb2;
-  core::Vb1Options vb1;
-  bayes::NintOptions nint;
-  /// Explicit NINT integration box; when absent the adapter runs VB2
-  /// with the request's `vb2` options and applies the paper's quantile
-  /// rule (the VB2 -> NINT seeding dependency).
-  std::optional<bayes::Box> nint_box;
-  bayes::LaplaceOptions laplace;
   McmcEngineOptions mcmc;
 
   EstimatorRequest(double a0, data::FailureTimeData d, bayes::PriorPair p)

@@ -68,8 +68,6 @@ std::vector<std::string> registered_methods() {
   return names_locked(r);
 }
 
-std::vector<std::string> method_names() { return registered_methods(); }
-
 std::unique_ptr<Estimator> make(std::string_view name,
                                 const EstimatorRequest& req) {
   EstimatorFactory factory;

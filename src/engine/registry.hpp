@@ -36,9 +36,6 @@ bool is_registered(std::string_view name);
 /// unknown-method error message of engine::make both read from here.
 std::vector<std::string> registered_methods();
 
-/// Back-compat alias for registered_methods().
-std::vector<std::string> method_names();
-
 /// Construct-and-fit the named estimator on the request.  Construction
 /// wall time is stamped into `diagnostics().wall_time_ms`.
 /// Throws std::invalid_argument for unknown names.

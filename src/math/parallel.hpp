@@ -4,8 +4,7 @@
 // from an atomic counter.  Callers get determinism by writing each
 // task's result into a preassigned slot and reducing the slots in index
 // order afterwards — the scheduling order never influences the output.
-// This is the pool underneath engine::BatchRunner and the VB2 chunked
-// component sweep.
+// This is the pool underneath engine::BatchRunner.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,10 @@
 
 namespace vbsrm::serve {
 
+namespace {
+constexpr std::size_t kShards = 8;
+}
+
 std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
   for (const char c : s) {
@@ -13,13 +17,12 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity), shards_(std::max<std::size_t>(shards, 1)) {
+ResultCache::ResultCache(std::size_t capacity)
+    : capacity_(capacity), shards_(kShards) {
   if (capacity_ == 0) return;
-  const std::size_t n = shards_.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < kShards; ++i) {
     // Spread capacity as evenly as possible, at least 1 per shard.
-    shards_[i].capacity = std::max<std::size_t>(1, (capacity_ + i) / n);
+    shards_[i].capacity = std::max<std::size_t>(1, (capacity_ + i) / kShards);
   }
 }
 

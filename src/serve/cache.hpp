@@ -27,10 +27,10 @@ std::uint64_t fnv1a64(std::string_view s);
 
 class ResultCache {
  public:
-  /// `capacity` entries total, spread over `shards` independent LRUs
+  /// `capacity` entries total, spread over 8 independent LRU shards
   /// (each shard gets at least one slot).  capacity == 0 disables
   /// caching: get always misses, put is a no-op.
-  explicit ResultCache(std::size_t capacity, std::size_t shards = 8);
+  explicit ResultCache(std::size_t capacity);
 
   /// Value for `key`, refreshing its LRU position; nullopt on miss.
   std::optional<std::string> get(const std::string& key);

@@ -20,6 +20,8 @@ namespace vbsrm::serve {
 namespace {
 
 constexpr std::size_t kMaxHeadBytes = 64u << 10;
+constexpr int kListenBacklog = 64;
+constexpr int kIoTimeoutS = 30;  // per-socket recv/send timeout
 
 std::string lowered(std::string_view s) {
   std::string out(s);
@@ -171,11 +173,9 @@ std::string serialize_response(const Response& r, bool keep_alive) {
 
 // --- HttpServer ------------------------------------------------------------
 
-HttpServer::HttpServer(Service& service, HttpServerOptions opt)
+HttpServer::HttpServer(Service& service, const HttpServerOptions& o)
     : shared_(std::make_shared<Shared>()) {
   shared_->service = &service;
-  shared_->opt = std::move(opt);
-  const HttpServerOptions& o = shared_->opt;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -200,7 +200,7 @@ HttpServer::HttpServer(Service& service, HttpServerOptions opt)
     throw std::runtime_error("bind " + o.host + ":" + std::to_string(o.port) +
                              ": " + why);
   }
-  if (::listen(listen_fd_, o.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string why = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -244,7 +244,7 @@ void HttpServer::run() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;
     }
-    const timeval tv{shared_->opt.io_timeout_s, 0};
+    const timeval tv{kIoTimeoutS, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     const int one = 1;

@@ -50,8 +50,6 @@ std::string_view status_phrase(int status);
 struct HttpServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
-  int backlog = 64;
-  int io_timeout_s = 30;   // per-socket recv/send timeout
 };
 
 /// Accept loop + thread-per-connection.  run() blocks until
@@ -63,7 +61,7 @@ class HttpServer {
  public:
   /// Binds and listens immediately; throws std::runtime_error on
   /// failure (port in use, bad host, ...).
-  HttpServer(Service& service, HttpServerOptions opt = {});
+  HttpServer(Service& service, const HttpServerOptions& opt = {});
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -84,7 +82,6 @@ class HttpServer {
   /// by construction order).
   struct Shared {
     Service* service = nullptr;
-    HttpServerOptions opt;
     std::atomic<bool> stop{false};
     math::Mutex mutex;
     math::CondVar cv;

@@ -12,10 +12,15 @@
 //
 // which the smoke client parses.  SIGINT/SIGTERM stop the accept loop,
 // finish in-flight requests, drain the estimation queue, and exit 0.
+// A flag value that does not parse whole and in range prints the usage
+// text and exits 2.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string_view>
 
 #include "serve/http.hpp"
 #include "serve/service.hpp"
@@ -32,9 +37,28 @@ void on_signal(int) {
   std::fprintf(stderr,
                "usage: vbsrm_serve [--host H] [--port P] [--workers N]\n"
                "                   [--queue N] [--cache N] [--deadline-ms D]\n"
-               "                   [--batch-threads N]\n");
+               "                   [--batch-threads N]\n"
+               "  P in 0..65535 (0 = ephemeral); --workers and\n"
+               "  --batch-threads in 0..1024 (0 = hardware); D > 0\n");
   std::exit(2);
 }
+
+/// The whole of `text` as a T in [lo, hi]; usage() otherwise.
+template <typename T>
+T flag_value(std::string_view text, T lo = std::numeric_limits<T>::lowest(),
+             T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || !(v >= lo) ||
+      !(v <= hi)) {
+    usage();
+  }
+  return v;
+}
+
+constexpr unsigned kMaxThreads = 1024;  // 0 = hardware
+constexpr double kMinDeadlineMs = std::numeric_limits<double>::denorm_min();
 
 }  // namespace
 
@@ -50,12 +74,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--host") hopt.host = next();
-    else if (a == "--port") hopt.port = static_cast<std::uint16_t>(std::atoi(next()));
-    else if (a == "--workers") sopt.workers = static_cast<unsigned>(std::atoi(next()));
-    else if (a == "--queue") sopt.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    else if (a == "--cache") sopt.cache_capacity = static_cast<std::size_t>(std::atoll(next()));
-    else if (a == "--deadline-ms") sopt.default_deadline_ms = std::atof(next());
-    else if (a == "--batch-threads") sopt.batch_threads = static_cast<unsigned>(std::atoi(next()));
+    else if (a == "--port") hopt.port = flag_value<std::uint16_t>(next());
+    else if (a == "--workers") sopt.workers = flag_value(next(), 0u, kMaxThreads);
+    else if (a == "--queue") sopt.queue_capacity = flag_value<std::size_t>(next());
+    else if (a == "--cache") sopt.cache_capacity = flag_value<std::size_t>(next());
+    else if (a == "--deadline-ms") sopt.default_deadline_ms = flag_value(next(), kMinDeadlineMs);
+    else if (a == "--batch-threads") sopt.batch_threads = flag_value(next(), 0u, kMaxThreads);
     else usage();
   }
 

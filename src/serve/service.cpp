@@ -4,6 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <variant>
 
 #include "data/failure_data.hpp"
@@ -16,6 +17,11 @@ namespace vbsrm::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Longest wait a deadline asks for (about 31 years).  Any longer
+/// budget means the same, and the cap keeps now + budget inside
+/// Clock::time_point's range.
+constexpr double kMaxBudgetMs = 1e12;
 
 /// Request decoding failure; handle() maps it to 400 Bad Request.
 struct BadRequest : std::invalid_argument {
@@ -185,7 +191,11 @@ ParsedCommon parse_common(const json::Value& doc) {
     out.mcmc.samples =
         static_cast<std::size_t>(count_or(*m, "samples", out.mcmc.samples));
     out.mcmc.seed = count_or(*m, "seed", out.mcmc.seed);
-    out.chains = static_cast<int>(count_or(*m, "chains", 1));
+    const std::uint64_t chains = count_or(*m, "chains", 1);
+    if (chains > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw BadRequest("\"mcmc.chains\" is too large");
+    }
+    out.chains = static_cast<int>(chains);
     if (out.mcmc.thin == 0 || out.mcmc.samples == 0 || out.chains < 1) {
       throw BadRequest("mcmc.thin, mcmc.samples, mcmc.chains must be >= 1");
     }
@@ -201,18 +211,22 @@ double parse_level(const json::Value& doc) {
   return level;
 }
 
-std::string parse_method(const json::Value& doc) {
-  std::string method = "vb2";
-  if (const json::Value* m = doc.find("method")) {
-    if (!m->is_string()) throw BadRequest("\"method\" must be a string");
-    method = lowered(m->as_string());
-  }
+/// `name` lower-cased; a BadRequest listing the registered methods when
+/// the registry does not know it.
+std::string registered_method(std::string_view name) {
+  std::string method = lowered(name);
   if (!engine::is_registered(method)) {
     std::string msg = "unknown method \"" + method + "\"; registered:";
     for (const std::string& n : engine::registered_methods()) msg += ' ' + n;
     throw BadRequest(msg);
   }
   return method;
+}
+
+std::string parse_method(const json::Value& doc) {
+  const json::Value* m = doc.find("method");
+  if (m && !m->is_string()) throw BadRequest("\"method\" must be a string");
+  return registered_method(m ? m->as_string() : "vb2");
 }
 
 // --- canonical serialization (the cache key) -------------------------------
@@ -318,6 +332,24 @@ json::Value diagnostics_json(const engine::Diagnostics& d) {
   return v;
 }
 
+/// The result fields of one fitted cell (summary, intervals, reliability
+/// per window, diagnostics), appended to `out` in one fixed order: the
+/// single renderer behind /v1/estimate and every /v1/batch report.
+void append_results(json::Value& out, const engine::EstimationReport& rep,
+                    const std::vector<double>& windows) {
+  out["summary"] = summary_json(rep.summary);
+  json::Value intervals = json::Value::object();
+  intervals["omega"] = interval_json(rep.omega_interval);
+  intervals["beta"] = interval_json(rep.beta_interval);
+  out["intervals"] = std::move(intervals);
+  json::Value rel = json::Value::array();
+  for (std::size_t i = 0; i < rep.reliability.size(); ++i) {
+    rel.push_back(reliability_json(windows[i], rep.reliability[i]));
+  }
+  out["reliability"] = std::move(rel);
+  out["diagnostics"] = diagnostics_json(rep.diagnostics);
+}
+
 Response json_response(int status, const json::Value& doc) {
   Response r;
   r.status = status;
@@ -335,9 +367,11 @@ Response error_response(int status, const std::string& message) {
   return json_response(status, doc);
 }
 
-std::string retry_after_value(double seconds) {
-  const double s = std::max(1.0, std::ceil(seconds));
-  return std::to_string(static_cast<long long>(s));
+/// 503 with the Retry-After hint every rejection carries.
+Response unavailable(const std::string& message) {
+  Response r = error_response(503, message);
+  r.headers.emplace_back("Retry-After", "1");
+  return r;
 }
 
 /// Path with any query string removed.
@@ -350,20 +384,18 @@ std::string_view path_of(std::string_view target) {
 
 json::Value estimate_response(const engine::Estimator& est,
                               const EstimateQuery& query) {
+  engine::EstimationReport rep;
+  rep.summary = est.summarize();
+  rep.omega_interval = est.interval_omega(query.level);
+  rep.beta_interval = est.interval_beta(query.level);
+  for (const double u : query.reliability_windows) {
+    rep.reliability.push_back(est.reliability(u, query.level));
+  }
+  rep.diagnostics = est.diagnostics();
   json::Value out = json::Value::object();
   out["method"] = std::string(est.method());
   out["level"] = query.level;
-  out["summary"] = summary_json(est.summarize());
-  json::Value intervals = json::Value::object();
-  intervals["omega"] = interval_json(est.interval_omega(query.level));
-  intervals["beta"] = interval_json(est.interval_beta(query.level));
-  out["intervals"] = std::move(intervals);
-  json::Value rel = json::Value::array();
-  for (const double u : query.reliability_windows) {
-    rel.push_back(reliability_json(u, est.reliability(u, query.level)));
-  }
-  out["reliability"] = std::move(rel);
-  out["diagnostics"] = diagnostics_json(est.diagnostics());
+  append_results(out, rep, query.reliability_windows);
   return out;
 }
 
@@ -371,7 +403,7 @@ json::Value estimate_response(const engine::Estimator& est,
 
 Service::Service(ServiceOptions opt)
     : opt_(opt),
-      cache_(opt.cache_capacity, opt.cache_shards),
+      cache_(opt.cache_capacity),
       latency_log10_(-2.0, 6.0, 32) {
   opt_.workers = math::resolve_threads(opt_.workers);
   workers_.reserve(opt_.workers);
@@ -427,8 +459,9 @@ void Service::worker_loop() {
 Response Service::submit_and_wait(
     std::function<Response(const std::atomic<bool>&)> work,
     double deadline_ms) {
-  const double budget =
-      deadline_ms > 0.0 ? deadline_ms : opt_.default_deadline_ms;
+  const double budget = std::min(
+      deadline_ms > 0.0 ? deadline_ms : opt_.default_deadline_ms,
+      kMaxBudgetMs);
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double, std::milli>(budget));
@@ -440,15 +473,9 @@ Response Service::submit_and_wait(
   const std::shared_ptr<std::atomic<bool>> abandoned = job.abandoned;
   {
     const math::MutexLock lock(queue_mutex_);
-    if (stopping_) {
-      Response r = error_response(503, "service shutting down");
-      r.headers.emplace_back("Retry-After", retry_after_value(opt_.retry_after_s));
-      return r;
-    }
+    if (stopping_) return unavailable("service shutting down");
     if (queue_.size() >= opt_.queue_capacity) {
-      Response r = error_response(503, "estimation queue full");
-      r.headers.emplace_back("Retry-After", retry_after_value(opt_.retry_after_s));
-      return r;
+      return unavailable("estimation queue full");
     }
     queue_.push_back(std::move(job));
   }
@@ -577,13 +604,7 @@ Response Service::handle_batch(const Request& req) {
     }
     for (const json::Value& m : mv.items()) {
       if (!m.is_string()) throw BadRequest("\"methods\" entries must be strings");
-      const std::string name = lowered(m.as_string());
-      if (!engine::is_registered(name)) {
-        std::string msg = "unknown method \"" + name + "\"; registered:";
-        for (const std::string& n : engine::registered_methods()) msg += ' ' + n;
-        throw BadRequest(msg);
-      }
-      spec.methods.push_back(name);
+      spec.methods.push_back(registered_method(m.as_string()));
     }
 
     spec.levels.clear();
@@ -624,23 +645,11 @@ Response Service::handle_batch(const Request& req) {
           r["method"] = rep.method;
           r["level"] = rep.level;
           r["ok"] = rep.ok;
-          if (!rep.ok) {
+          if (rep.ok) {
+            append_results(r, rep, spec_ptr->reliability_windows);
+          } else {
             r["error"] = rep.error;
-            arr.push_back(std::move(r));
-            continue;
           }
-          r["summary"] = summary_json(rep.summary);
-          json::Value intervals = json::Value::object();
-          intervals["omega"] = interval_json(rep.omega_interval);
-          intervals["beta"] = interval_json(rep.beta_interval);
-          r["intervals"] = std::move(intervals);
-          json::Value rel = json::Value::array();
-          for (std::size_t i = 0; i < rep.reliability.size(); ++i) {
-            rel.push_back(reliability_json(spec_ptr->reliability_windows[i],
-                                           rep.reliability[i]));
-          }
-          r["reliability"] = std::move(rel);
-          r["diagnostics"] = diagnostics_json(rep.diagnostics);
           arr.push_back(std::move(r));
         }
         doc["reports"] = std::move(arr);

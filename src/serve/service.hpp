@@ -14,7 +14,7 @@
 //
 // Concurrency model: handle() may be called from any number of I/O
 // threads; estimation work is pushed onto a bounded queue served by a
-// fixed worker pool.  A full queue answers 503 + Retry-After
+// fixed worker pool.  A full queue answers 503 + "Retry-After: 1"
 // immediately (backpressure, never unbounded blocking), and each
 // request carries a deadline — when it expires while the job is still
 // queued or running, the caller gets 504 and a still-queued job is
@@ -48,9 +48,7 @@ struct ServiceOptions {
   unsigned workers = 0;              // estimation workers; 0 = hardware
   std::size_t queue_capacity = 64;   // jobs waiting beyond the workers
   std::size_t cache_capacity = 256;  // cached estimate responses
-  std::size_t cache_shards = 8;
   double default_deadline_ms = 30000.0;
-  double retry_after_s = 1.0;        // hint sent with every 503
   unsigned batch_threads = 1;        // BatchRunner width inside one job
   std::size_t max_body_bytes = 8u << 20;
 };

@@ -1,12 +1,11 @@
 // ThreadSanitizer-targeted stress tests for every concurrent subsystem:
 // math::parallel_for's contended error path, BatchRunner cancellation
 // mid-grid, the serve worker pool's backpressure / deadline / drain
-// paths, sharded cache hit/miss races, and the multi-chain MCMC
-// thread-count invariance.  The assertions are deliberately structural
-// (every response is one of the statuses the state machine can produce,
-// every cache hit returns the bytes that were put) — the real check is
-// TSan observing the interleavings race-free.  Sized to stay fast under
-// TSan's ~10x slowdown.
+// paths, and sharded cache hit/miss races.  The assertions are
+// deliberately structural (every response is one of the statuses the
+// state machine can produce, every cache hit returns the bytes that
+// were put) — the real check is TSan observing the interleavings
+// race-free.  Sized to stay fast under TSan's ~10x slowdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "bayes/multichain.hpp"
 #include "bayes/prior.hpp"
 #include "data/failure_data.hpp"
 #include "engine/batch.hpp"
@@ -173,7 +171,7 @@ TEST(BatchRunnerStress, ConcurrentIndependentGrids) {
 // --- serve::ResultCache ----------------------------------------------------
 
 TEST(CacheStress, RacingHitsMissesAndEvictionsStayConsistent) {
-  serve::ResultCache cache(32, 4);
+  serve::ResultCache cache(32);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {
@@ -346,29 +344,4 @@ TEST(ServiceStress, MetricsSnapshotsRaceRequestTraffic) {
 
   const serve::MetricsSnapshot m = service.metrics_snapshot();
   EXPECT_EQ(m.requests_total, 4u * 8u * 2u);
-}
-
-// --- multi-chain MCMC ------------------------------------------------------
-
-TEST(MultichainStress, PooledDrawsAreThreadCountInvariant) {
-  const data::FailureTimeData d({5.0, 12.0, 25.0, 40.0, 60.0}, 100.0);
-  const bayes::PriorPair priors = bayes::PriorPair::flat();
-  bayes::McmcOptions opt;
-  opt.burn_in = 50;
-  opt.thin = 1;
-  opt.samples = 200;
-  opt.seed = 0xFEEDull;
-
-  const bayes::MultiChainResult serial =
-      bayes::gibbs_failure_times_chains(4, 1.0, d, priors, opt, /*threads=*/1);
-  const bayes::MultiChainResult parallel =
-      bayes::gibbs_failure_times_chains(4, 1.0, d, priors, opt, /*threads=*/4);
-
-  ASSERT_EQ(serial.pooled.size(), parallel.pooled.size());
-  EXPECT_EQ(serial.pooled.omega(), parallel.pooled.omega());
-  EXPECT_EQ(serial.pooled.beta(), parallel.pooled.beta());
-  EXPECT_EQ(serial.rhat_omega, parallel.rhat_omega);
-  EXPECT_EQ(serial.rhat_beta, parallel.rhat_beta);
-  EXPECT_EQ(serial.pooled.variates_generated(),
-            parallel.pooled.variates_generated());
 }

@@ -80,7 +80,7 @@ TEST(EngineRegistry, UnknownNameThrowsListingKnownMethods) {
 }
 
 TEST(EngineRegistry, MethodNamesContainTheFiveBuiltins) {
-  const auto names = engine::method_names();
+  const auto names = engine::registered_methods();
   for (const char* name : {"laplace", "mcmc", "nint", "vb1", "vb2"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;

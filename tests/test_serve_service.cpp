@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -336,6 +337,38 @@ TEST(ServeService, DeadlineExpiryAnswers504) {
   EXPECT_EQ(r.status, 504);
   EXPECT_NE(r.body.find("deadline"), std::string::npos);
   EXPECT_EQ(svc.metrics_snapshot().deadline_504, 1u);
+}
+
+TEST(ServeService, DeadlinesPastTheClockRangeStillServe) {
+  // A budget far past the steady clock's range must not overflow
+  // now + budget into a deadline in the past (an instant 504).
+  ensure_slowtest_registered();
+  serve::ServiceOptions opt = small_options();
+  opt.cache_capacity = 0;  // every request must reach the queue
+  serve::Service svc(opt);
+  for (const double deadline_ms :
+       {1e15, 1e300, std::numeric_limits<double>::infinity()}) {
+    const serve::Response r = svc.handle(
+        post("/v1/estimate", estimate_body("slowtest"), deadline_ms));
+    EXPECT_EQ(r.status, 200) << deadline_ms << ": " << r.body;
+  }
+  EXPECT_EQ(svc.metrics_snapshot().deadline_504, 0u);
+}
+
+TEST(ServeService, ChainCountAboveIntMaxIs400) {
+  // A count past INT_MAX must be refused, not wrapped: 2^32 + 1 would
+  // truncate to one chain and be served as "chains": 1.
+  ensure_slowtest_registered();
+  serve::Service svc(small_options());
+  for (const char* chains : {"4294967297", "2147483648"}) {
+    const std::string body =
+        R"({"method":"slowtest","data":{"type":"failure_times",)"
+        R"("times":[5,12,25],"observation_end":100},"mcmc":{"chains":)" +
+        std::string(chains) + "}}";
+    const serve::Response r = svc.handle(post("/v1/estimate", body));
+    EXPECT_EQ(r.status, 400) << chains << ": " << r.body;
+    EXPECT_NE(r.body.find("chains"), std::string::npos) << r.body;
+  }
 }
 
 TEST(ServeService, ShutdownDrainsAndRejectsNewWork) {

@@ -205,34 +205,6 @@ TEST(Vb2PerfEquivalence, SteffensenMatchesPlainSubstitution) {
             b2.diagnostics().total_fixed_point_iterations / 3);
 }
 
-TEST(Vb2PerfEquivalence, ThreadCountIsBitIrrelevant) {
-  // Chunk decomposition and warm-start seeding depend only on the
-  // component range, so any thread count must give bit-identical output.
-  const auto dg = d::datasets::system17_grouped();
-  c::Vb2Options o1, o2, o4;
-  o1.threads = 1;
-  o2.threads = 2;
-  o4.threads = 4;
-  const c::Vb2Estimator e1(1.0, dg, info_priors_dg(), o1);
-  const c::Vb2Estimator e2(1.0, dg, info_priors_dg(), o2);
-  const c::Vb2Estimator e4(1.0, dg, info_priors_dg(), o4);
-  const auto& c1 = e1.posterior().components();
-  const auto& c2 = e2.posterior().components();
-  const auto& c4 = e4.posterior().components();
-  ASSERT_EQ(c1.size(), c2.size());
-  ASSERT_EQ(c1.size(), c4.size());
-  for (std::size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_EQ(c1[i].weight, c2[i].weight);
-    EXPECT_EQ(c1[i].beta.rate, c2[i].beta.rate);
-    EXPECT_EQ(c1[i].weight, c4[i].weight);
-    EXPECT_EQ(c1[i].beta.rate, c4[i].beta.rate);
-  }
-  EXPECT_EQ(e1.diagnostics().total_fixed_point_iterations,
-            e2.diagnostics().total_fixed_point_iterations);
-  EXPECT_EQ(e1.diagnostics().total_fixed_point_iterations,
-            e4.diagnostics().total_fixed_point_iterations);
-}
-
 TEST(Vb2PerfEquivalence, LgammaRecurrenceMatchesDirectEvaluation) {
   // The sweep advances the objective's lgamma terms by recurrence
   // between exact reseeds; component_objective evaluates them directly.
