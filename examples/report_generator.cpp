@@ -1,7 +1,7 @@
 // Generate a complete markdown reliability report for a data set:
-// trend test -> model-family ranking -> sequential assessment ->
-// Bayesian posterior (VB2) -> release predictions.  Demonstrates how
-// the library's pieces compose into the artifact a test manager reads.
+// trend test -> Bayesian posterior (VB2) -> release predictions.
+// Demonstrates how the library's pieces compose into the artifact a test
+// manager reads.
 //
 //   report_generator [output.md]      (default: reliability_report.md)
 #include <cmath>
@@ -12,9 +12,6 @@
 #include "core/predictive.hpp"
 #include "data/datasets.hpp"
 #include "engine/registry.hpp"
-#include "nhpp/assessment.hpp"
-#include "nhpp/families.hpp"
-#include "nhpp/fit.hpp"
 #include "nhpp/trend.hpp"
 
 int main(int argc, char** argv) {
@@ -42,34 +39,14 @@ int main(int argc, char** argv) {
                        : "no significant growth; treat model outputs with "
                          "caution.\n\n");
 
-  // 2. Model selection.
-  md << "## 2. Model-family ranking (AIC)\n\n"
-     << "| family | omega | logL | AIC |\n|---|---|---|---|\n";
-  const auto ranking = nhpp::families::rank_families(data);
-  for (const auto& fit : ranking) {
-    md << "| " << fit.family->describe(fit.working) << " | " << fit.omega
-       << " | " << fit.log_likelihood << " | " << fit.aic << " |\n";
-  }
-  md << "\nSelected: **" << ranking.front().family->name() << "**.\n\n";
-
-  // 3. Honest one-step-ahead check of the gamma-type candidates.
-  md << "## 3. Sequential predictive assessment\n\n"
-     << "| alpha0 | prequential logL | u-plot KS p |\n|---|---|---|\n";
-  for (double a0 : {1.0, 2.0}) {
-    const auto a = nhpp::assess_one_step_ahead(a0, data, 8);
-    md << "| " << a0 << " | " << a.prequential_log_likelihood << " | "
-       << a.u_plot_pvalue << " |\n";
-  }
-  md << "\n";
-
-  // 4. Bayesian interval estimation through the engine (VB2, GO model).
+  // 2. Bayesian interval estimation through the engine (VB2, GO model).
   const engine::EstimatorRequest req(1.0, data, priors);
   const auto vb2 = engine::make("vb2", req);
   const auto& post = *vb2->mixture();
   const auto s = vb2->summarize();
   const auto io = vb2->interval_omega(0.99);
   const auto ib = vb2->interval_beta(0.99);
-  md << "## 4. Bayesian estimates (VB2, Goel-Okumoto)\n\n"
+  md << "## 2. Bayesian estimates (VB2, Goel-Okumoto)\n\n"
      << "| quantity | mean | 99% interval |\n|---|---|---|\n"
      << "| total faults omega | " << s.mean_omega << " | [" << io.lower
      << ", " << io.upper << "] |\n"
@@ -80,8 +57,8 @@ int main(int argc, char** argv) {
   md << "Residual faults: mean " << res.mean() << ", P(at most "
      << res.quantile(0.9) << ") >= 90%.\n\n";
 
-  // 5. Predictions.
-  md << "## 5. Predictions\n\n"
+  // 3. Predictions.
+  md << "## 3. Predictions\n\n"
      << "| window u (s) | R(te+u|te) | 99% interval | E[failures] | 99% "
         "count interval |\n|---|---|---|---|---|\n";
   for (double u : {1000.0, 10000.0, 50000.0}) {

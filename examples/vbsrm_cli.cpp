@@ -5,7 +5,6 @@
 //                                        [--method NAME] [--json]
 //   vbsrm_cli grouped  <counts.csv>      [same options]
 //   vbsrm_cli predict  <times.csv> <t_e> <u> [same options]
-//   vbsrm_cli compare  <times.csv> <t_e>
 //   vbsrm_cli methods
 //   vbsrm_cli demo
 //
@@ -13,9 +12,11 @@
 // registered posterior approximation (vbsrm_cli methods lists them;
 // default vb2).  CSV formats: `fit`/`predict` read one failure time per
 // line ('#' comments allowed); `grouped` reads "boundary,count" lines.
-// Without --prior-* options, flat priors are used.  --json switches
+// Without --prior-* options, flat priors are used.  Every number must
+// parse whole and finite, or the usage text is printed.  --json switches
 // fit/grouped/predict to the serving layer's response schema (the same
 // document POST /v1/estimate returns), emitted via serve::json.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,8 +33,6 @@
 #include "data/datasets.hpp"
 #include "data/failure_data.hpp"
 #include "engine/registry.hpp"
-#include "nhpp/families.hpp"
-#include "nhpp/fit.hpp"
 #include "nhpp/trend.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
@@ -56,12 +55,20 @@ struct Options {
                "usage: vbsrm_cli fit <times.csv> <t_e> [options]\n"
                "       vbsrm_cli grouped <counts.csv> [options]\n"
                "       vbsrm_cli predict <times.csv> <t_e> <u> [options]\n"
-               "       vbsrm_cli compare <times.csv> <t_e>\n"
                "       vbsrm_cli methods\n"
                "       vbsrm_cli demo\n"
                "options: --alpha0 A --prior-omega MEAN SD --prior-beta MEAN "
                "SD --level L --method NAME --json\n");
   std::exit(2);
+}
+
+/// The whole of `text` as a finite double; usage() otherwise.
+double number(const char* text) {
+  const char* last = text + std::strlen(text);
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(text, last, v);
+  if (ec != std::errc() || end != last || !std::isfinite(v)) usage();
+  return v;
 }
 
 Options parse_options(int argc, char** argv, int first) {
@@ -73,10 +80,10 @@ Options parse_options(int argc, char** argv, int first) {
     };
     if (a == "--alpha0") {
       need(1);
-      o.alpha0 = std::atof(argv[++i]);
+      o.alpha0 = number(argv[++i]);
     } else if (a == "--level") {
       need(1);
-      o.level = std::atof(argv[++i]);
+      o.level = number(argv[++i]);
     } else if (a == "--method") {
       need(1);
       o.method = argv[++i];
@@ -84,13 +91,13 @@ Options parse_options(int argc, char** argv, int first) {
       o.json = true;
     } else if (a == "--prior-omega") {
       need(2);
-      const double m = std::atof(argv[++i]);
-      const double s = std::atof(argv[++i]);
+      const double m = number(argv[++i]);
+      const double s = number(argv[++i]);
       o.prior_omega = {m, s};
     } else if (a == "--prior-beta") {
       need(2);
-      const double m = std::atof(argv[++i]);
-      const double s = std::atof(argv[++i]);
+      const double m = number(argv[++i]);
+      const double s = number(argv[++i]);
       o.prior_beta = {m, s};
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
@@ -165,8 +172,9 @@ void report_estimator(const engine::Estimator& est, double level) {
 
 int cmd_fit(int argc, char** argv) {
   if (argc < 4) usage();
+  const double te = number(argv[3]);
   const auto opts = parse_options(argc, argv, 4);
-  const auto dt = load_times(argv[2], std::atof(argv[3]));
+  const auto dt = load_times(argv[2], te);
   const engine::EstimatorRequest req(opts.alpha0, dt, priors_from(opts));
   if (opts.json) return report_json(*engine::make(opts.method, req), opts);
   std::printf("loaded %zu failure times on (0, %g]\n", dt.count(),
@@ -198,9 +206,10 @@ int cmd_grouped(int argc, char** argv) {
 
 int cmd_predict(int argc, char** argv) {
   if (argc < 5) usage();
+  const double te = number(argv[3]);
+  const double u = number(argv[4]);
   const auto opts = parse_options(argc, argv, 5);
-  const auto dt = load_times(argv[2], std::atof(argv[3]));
-  const double u = std::atof(argv[4]);
+  const auto dt = load_times(argv[2], te);
   const engine::EstimatorRequest req(opts.alpha0, dt, priors_from(opts));
   const auto est = engine::make(opts.method, req);
   if (opts.json) return report_json(*est, opts, {u});
@@ -214,19 +223,6 @@ int cmd_predict(int argc, char** argv) {
         "failures in window: mean %.2f, %.0f%% interval [%llu, %llu]\n",
         pred.mean(), 100 * opts.level, static_cast<unsigned long long>(lo),
         static_cast<unsigned long long>(hi));
-  }
-  return 0;
-}
-
-int cmd_compare(int argc, char** argv) {
-  if (argc < 4) usage();
-  const auto dt = load_times(argv[2], std::atof(argv[3]));
-  std::printf("%-14s %10s %14s %10s   parameters\n", "family", "omega",
-              "logL", "AIC");
-  for (const auto& fit : nhpp::families::rank_families(dt)) {
-    std::printf("%-14s %10.2f %14.3f %10.2f   %s\n",
-                fit.family->name().c_str(), fit.omega, fit.log_likelihood,
-                fit.aic, fit.family->describe(fit.working).c_str());
   }
   return 0;
 }
@@ -261,7 +257,6 @@ int main(int argc, char** argv) {
     if (cmd == "fit") return cmd_fit(argc, argv);
     if (cmd == "grouped") return cmd_grouped(argc, argv);
     if (cmd == "predict") return cmd_predict(argc, argv);
-    if (cmd == "compare") return cmd_compare(argc, argv);
     if (cmd == "methods") return cmd_methods();
     if (cmd == "demo") return cmd_demo();
   } catch (const data::DataError& e) {

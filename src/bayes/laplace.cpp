@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "math/optimize.hpp"
 #include "math/specfun.hpp"
@@ -14,16 +15,12 @@ namespace {
 constexpr int kMapMaxIterations = 4000;  // Nelder-Mead iteration cap
 }
 
-LaplaceEstimator::LaplaceEstimator(LogPosterior posterior,
-                                   std::pair<double, double> start)
+LaplaceEstimator::LaplaceEstimator(LogPosterior posterior)
     : posterior_(std::move(posterior)), cov_(2, 2) {
-  auto [o0, b0] = start;
-  if (!(o0 > 0.0) || !(b0 > 0.0)) {
-    // Heuristic start: a bit more faults than observed, failure-law
-    // mean at ~60% of the horizon.
-    o0 = 1.3 * static_cast<double>(posterior_.failures()) + 1.0;
-    b0 = posterior_.alpha0() / (0.6 * posterior_.horizon());
-  }
+  // Start the MAP search a bit above the observed fault count, with the
+  // failure-law mean at ~60% of the horizon.
+  const double o0 = 1.3 * static_cast<double>(posterior_.failures()) + 1.0;
+  const double b0 = posterior_.alpha0() / (0.6 * posterior_.horizon());
   // Maximize the posterior density in natural coordinates; optimize over
   // logs for scale robustness (the argmax over the plane is unchanged).
   auto nlp = [&](const std::vector<double>& p) {
@@ -101,16 +98,6 @@ ReliabilityEstimate LaplaceEstimator::reliability(double u,
   const double sd = std::sqrt(std::max(0.0, var));
   const double z = m::normal_quantile(0.5 + 0.5 * level);
   return {r, r - z * sd, r + z * sd, level};
-}
-
-double LaplaceEstimator::log_marginal_likelihood() const {
-  const double det = cov_(0, 0) * cov_(1, 1) - cov_(0, 1) * cov_(1, 0);
-  if (det <= 0.0) {
-    throw std::domain_error(
-        "log_marginal_likelihood: covariance not positive definite");
-  }
-  return posterior_(map_omega_, map_beta_) + std::log(2.0 * M_PI) +
-         0.5 * std::log(det);
 }
 
 bool LaplaceEstimator::reliability_estimate_out_of_range(

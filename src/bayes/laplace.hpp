@@ -10,8 +10,6 @@
 // reported as-is and flagged by `reliability_estimate_out_of_range`.
 #pragma once
 
-#include <utility>
-
 #include "bayes/posterior.hpp"
 #include "bayes/summary.hpp"
 #include "math/linalg.hpp"
@@ -20,10 +18,7 @@ namespace vbsrm::bayes {
 
 class LaplaceEstimator {
  public:
-  /// `start` = (omega, beta) where the MAP search begins; a non-positive
-  /// entry (the default) picks a heuristic start from the data.
-  explicit LaplaceEstimator(LogPosterior posterior,
-                            std::pair<double, double> start = {0.0, 0.0});
+  explicit LaplaceEstimator(LogPosterior posterior);
 
   double map_omega() const { return map_omega_; }
   double map_beta() const { return map_beta_; }
@@ -42,13 +37,6 @@ class LaplaceEstimator {
   /// outside [0, 1] (the approximation's known defect).
   ReliabilityEstimate reliability(double u, double level) const;
   static bool reliability_estimate_out_of_range(const ReliabilityEstimate& r);
-
-  /// Laplace approximation of the log model evidence log P(D):
-  /// log post(MAP) + (d/2) log 2*pi + (1/2) log det(Cov).  The grouped-
-  /// data posterior drops the parameter-independent -sum log x_i! terms,
-  /// so evidences are comparable (Bayes factors valid) across models
-  /// evaluated on the *same* data with the same LogPosterior convention.
-  double log_marginal_likelihood() const;
 
  private:
   LogPosterior posterior_;

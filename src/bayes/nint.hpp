@@ -36,8 +36,6 @@ class NintEstimator {
   NintEstimator(LogPosterior posterior, Box box, NintOptions opt = {});
 
   const Box& box() const { return box_; }
-  /// log of the normalizing constant over the box (Eq. 6's log C).
-  double log_normalizer() const { return log_z_; }
 
   PosteriorSummary summary() const;
 

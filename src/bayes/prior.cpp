@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "math/specfun.hpp"
@@ -32,17 +31,6 @@ double GammaPrior::log_density(double x) const {
   if (is_flat()) return 0.0;
   return shape * std::log(rate) + (shape - 1.0) * std::log(x) - rate * x -
          math::log_gamma(shape);
-}
-
-std::string GammaPrior::describe() const {
-  std::ostringstream os;
-  if (is_flat()) {
-    os << "flat";
-  } else {
-    os << "Gamma(shape=" << shape << ", rate=" << rate << "; mean=" << mean()
-       << ", sd=" << sd() << ")";
-  }
-  return os.str();
 }
 
 }  // namespace vbsrm::bayes

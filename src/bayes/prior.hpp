@@ -3,8 +3,6 @@
 // "NoInfo" scenario using flat (improper, P ∝ 1) densities.
 #pragma once
 
-#include <string>
-
 namespace vbsrm::bayes {
 
 /// Gamma(shape, rate) prior; `rate == 0 && shape == 1` encodes the flat
@@ -23,8 +21,6 @@ struct GammaPrior {
   double mean() const;  // +inf for flat
   double sd() const;    // +inf for flat
   double log_density(double x) const;
-
-  std::string describe() const;
 };
 
 /// The pair of independent priors on (omega, beta).

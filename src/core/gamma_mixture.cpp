@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <sstream>
-#include <string>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -229,51 +226,6 @@ std::pair<double, double> GammaMixturePosterior::sample(
           : components_[static_cast<std::size_t>(it - cum_weights_.begin())];
   return {random::sample_gamma(rng, pick.omega.shape, pick.omega.rate),
           random::sample_gamma(rng, pick.beta.shape, pick.beta.rate)};
-}
-
-std::string GammaMixturePosterior::to_csv() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "# alpha0,horizon\n" << alpha0_ << ',' << horizon_ << '\n';
-  os << "# n,weight,omega_shape,omega_rate,beta_shape,beta_rate\n";
-  for (const auto& c : components_) {
-    os << c.n << ',' << c.weight << ',' << c.omega.shape << ','
-       << c.omega.rate << ',' << c.beta.shape << ',' << c.beta.rate << '\n';
-  }
-  return os.str();
-}
-
-GammaMixturePosterior GammaMixturePosterior::from_csv(std::istream& in) {
-  std::string line;
-  double alpha0 = 0.0, horizon = 0.0;
-  bool have_header = false;
-  std::vector<ProductGammaComponent> comps;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos) continue;
-    std::istringstream ls(line);
-    char comma;
-    if (!have_header) {
-      if (!(ls >> alpha0 >> comma >> horizon) || comma != ',') {
-        throw std::invalid_argument("GammaMixturePosterior::from_csv: header");
-      }
-      have_header = true;
-      continue;
-    }
-    ProductGammaComponent c;
-    unsigned long long n;
-    char c1, c2, c3, c4, c5;
-    if (!(ls >> n >> c1 >> c.weight >> c2 >> c.omega.shape >> c3 >>
-          c.omega.rate >> c4 >> c.beta.shape >> c5 >> c.beta.rate) ||
-        c1 != ',' || c2 != ',' || c3 != ',' || c4 != ',' || c5 != ',') {
-      throw std::invalid_argument(
-          "GammaMixturePosterior::from_csv: bad component line: " + line);
-    }
-    c.n = n;
-    comps.push_back(c);
-  }
-  return GammaMixturePosterior(std::move(comps), alpha0, horizon);
 }
 
 namespace {

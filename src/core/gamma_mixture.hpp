@@ -20,9 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "bayes/summary.hpp"
@@ -86,13 +85,6 @@ class GammaMixturePosterior {
 
   /// Draw (omega, beta) from the mixture.
   std::pair<double, double> sample(random::Rng& rng) const;
-
-  /// Serialize to CSV ("# alpha0,horizon" header line, then one
-  /// component per line: n,weight,omega_shape,omega_rate,beta_shape,
-  /// beta_rate) and parse it back.  Lets a fitted posterior be stored
-  /// and reloaded without refitting.
-  std::string to_csv() const;
-  static GammaMixturePosterior from_csv(std::istream& in);
 
   /// The reliability functionals (Eqs. 31-32) integrate over each
   /// component's beta marginal with composite Gauss-Legendre (8 panels

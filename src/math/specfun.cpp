@@ -280,13 +280,6 @@ double normalize_log_weights(std::vector<double>& v) {
   return lz;
 }
 
-double log_add_exp(double a, double b) {
-  if (a == -kInf) return b;
-  if (b == -kInf) return a;
-  const double m = std::max(a, b);
-  return m + std::log1p(std::exp(-std::abs(a - b)));
-}
-
 double log1m_exp(double x) {
   if (x >= 0.0) return (x == 0.0) ? -kInf : kNan;
   // Maechler's cutoff: for x > -ln 2 use log(-expm1(x)).

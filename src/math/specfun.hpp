@@ -80,9 +80,6 @@ double log_sum_exp(std::span<const double> v);
 /// Returns the log normalizing constant.
 double normalize_log_weights(std::vector<double>& v);
 
-/// log(exp(a) + exp(b)) without overflow.
-double log_add_exp(double a, double b);
-
 /// log(1 - exp(x)) for x < 0, stable near both ends.
 double log1m_exp(double x);
 

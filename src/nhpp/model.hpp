@@ -74,7 +74,6 @@ class GroupedMassTable {
   double interval_mass_up(std::size_t i) const;
   /// Survival Q(., beta * s_k) beyond the last boundary.
   double tail_survival() const { return q_.back(); }
-  double tail_survival_up() const { return q_up_.back(); }
 
   /// E[T | s_{i-1} < T <= s_i] for T ~ Gamma(alpha0, beta).
   double truncated_mean(std::size_t i) const;

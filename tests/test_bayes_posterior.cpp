@@ -40,7 +40,6 @@ TEST(GammaPrior, FlatBehaviour) {
   EXPECT_DOUBLE_EQ(f.log_density(1e9), 0.0);
   EXPECT_TRUE(std::isinf(f.log_density(-1.0)));
   EXPECT_TRUE(std::isinf(f.mean()));
-  EXPECT_NE(f.describe().find("flat"), std::string::npos);
 }
 
 TEST(GammaPrior, RejectsBadMeanSd) {

@@ -1,12 +1,12 @@
-// MCMC: Gibbs samplers (both data schemes), the MH fallback, and chain
-// summaries.  Correctness oracles: a conjugate case with known posterior
-// and cross-agreement between independent samplers.
+// MCMC: Gibbs samplers (both data schemes), chain summaries, and the
+// multi-chain R-hat.  Correctness oracles: a conjugate case with known
+// posterior and cross-agreement between independent samplers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "bayes/gibbs.hpp"
-#include "bayes/metropolis.hpp"
+#include "bayes/multichain.hpp"
 #include "data/datasets.hpp"
 #include "data/simulate.hpp"
 #include "random/rng.hpp"
@@ -150,22 +150,44 @@ TEST(GibbsGrouped, RejectsEmptyData) {
                std::invalid_argument);
 }
 
-TEST(Metropolis, AgreesWithGibbsOnInfoCase) {
+TEST(MultiChain, RhatNearOneForWellMixedChains) {
   const auto dt = d::datasets::system17_failure_times();
-  b::LogPosterior post(1.0, dt, info_priors_dt());
-  b::MhOptions opt;
-  opt.mcmc = fast_opts(51);
-  opt.mcmc.burn_in = 5000;
-  const auto mh = b::metropolis(post, opt);
-  const auto gibbs =
-      b::gibbs_failure_times(1.0, dt, info_priors_dt(), fast_opts(52));
-  EXPECT_NEAR(mh.chain.summary().mean_omega, gibbs.summary().mean_omega,
-              0.8);
-  EXPECT_NEAR(mh.chain.summary().mean_beta, gibbs.summary().mean_beta,
-              4e-7);
-  // Step adaptation should land acceptance in a healthy band.
-  EXPECT_GT(mh.acceptance_rate, 0.15);
-  EXPECT_LT(mh.acceptance_rate, 0.6);
+  b::McmcOptions opt;
+  opt.burn_in = 2000;
+  opt.thin = 2;
+  opt.samples = 4000;
+  opt.seed = 2;
+  const auto mc =
+      b::gibbs_failure_times_chains(4, 1.0, dt, info_priors_dt(), opt);
+  EXPECT_EQ(mc.chains.size(), 4u);
+  EXPECT_LT(mc.rhat_omega, 1.01);
+  EXPECT_LT(mc.rhat_beta, 1.01);
+  EXPECT_TRUE(mc.converged());
+  EXPECT_EQ(mc.pooled.size(), 16000u);
+  // Chains genuinely differ (independent seeds).
+  EXPECT_NE(mc.chains[0].omega()[0], mc.chains[1].omega()[0]);
+}
+
+TEST(MultiChain, RhatDetectsDisagreeingChains) {
+  // Two hand-built "chains" around different levels: R-hat must flag it.
+  std::vector<std::vector<double>> chains(2, std::vector<double>(500));
+  vbsrm::random::Rng rng(9);
+  for (int c = 0; c < 2; ++c) {
+    for (auto& v : chains[static_cast<std::size_t>(c)]) {
+      v = (c == 0 ? 0.0 : 5.0) + rng.next_double();
+    }
+  }
+  EXPECT_GT(b::cross_chain_rhat(chains), 2.0);
+}
+
+TEST(MultiChain, ValidatesInput) {
+  EXPECT_THROW(b::cross_chain_rhat({{1.0, 2.0}}), std::invalid_argument);
+  EXPECT_THROW(b::cross_chain_rhat({{1.0, 2.0}, {1.0}}),
+               std::invalid_argument);
+  const auto dt = d::datasets::system17_failure_times();
+  EXPECT_THROW(
+      b::gibbs_failure_times_chains(1, 1.0, dt, b::PriorPair::flat()),
+      std::invalid_argument);
 }
 
 TEST(ChainReliability, BoundsOrderedAndInUnitInterval) {
