@@ -2,11 +2,18 @@
 // members (Goel-Okumoto, delayed S-shaped) and the generic law.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "data/datasets.hpp"
+#include "data/simulate.hpp"
+#include "nhpp/fit.hpp"
+#include "nhpp/likelihood.hpp"
 #include "nhpp/model.hpp"
+#include "random/distributions.hpp"
+#include "random/rng.hpp"
+#include "stats/gof.hpp"
 
 namespace n = vbsrm::nhpp;
 
@@ -198,5 +205,88 @@ TEST_P(TruncatedMeanSweep, PartitionReassemblesMean) {
 
 INSTANTIATE_TEST_SUITE_P(Alphas, TruncatedMeanSweep,
                          ::testing::Values(0.5, 1.0, 2.0, 3.7, 10.0));
+
+// Members of the gamma-type family, each at a rate whose scale suits
+// t in (0, ~10): Goel-Okumoto, delayed S-shaped, and fixed shapes
+// below, between and above them.
+struct FamilyCase {
+  double alpha0;
+  double beta;
+};
+
+constexpr FamilyCase kFamilyCases[] = {
+    {1.0, 0.5}, {2.0, 1.0}, {0.5, 0.3}, {1.5, 0.8},
+    {2.7, 1.2}, {3.0, 2.0}, {4.0, 1.5},
+};
+
+class FamilySweep : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  FamilyCase c_ = kFamilyCases[GetParam()];
+  n::GammaFailureLaw law_{c_.alpha0};
+};
+
+TEST_P(FamilySweep, CdfIsValidDistribution) {
+  EXPECT_NEAR(law_.cdf(0.0, c_.beta), 0.0, 1e-12);
+  EXPECT_NEAR(law_.cdf(-1.0, c_.beta), 0.0, 1e-12);
+  double prev = 0.0;
+  for (double t = 0.05; t < 60.0; t *= 1.3) {
+    const double p = law_.cdf(t, c_.beta);
+    EXPECT_GE(p, prev - 1e-13) << "alpha0=" << c_.alpha0 << " t=" << t;
+    EXPECT_LE(p, 1.0);
+    prev = p;
+  }
+  EXPECT_GT(law_.cdf(1e5, c_.beta), 0.99) << "alpha0=" << c_.alpha0;
+}
+
+TEST_P(FamilySweep, PdfIsDerivativeOfCdf) {
+  for (double t : {0.3, 1.0, 2.5, 6.0}) {
+    const double h = 1e-6 * t;
+    const double numeric =
+        (law_.cdf(t + h, c_.beta) - law_.cdf(t - h, c_.beta)) / (2 * h);
+    EXPECT_NEAR(law_.pdf(t, c_.beta), numeric, 1e-5 * std::max(1.0, numeric))
+        << "alpha0=" << c_.alpha0 << " t=" << t;
+  }
+}
+
+TEST_P(FamilySweep, SampleMatchesCdfByKs) {
+  vbsrm::random::Rng rng(1000 + GetParam());
+  const auto x =
+      vbsrm::random::sample_gamma_many(rng, 2000, c_.alpha0, c_.beta);
+  const auto ks = vbsrm::stats::ks_test(
+      x, [&](double t) { return law_.cdf(t, c_.beta); });
+  EXPECT_GT(ks.p_value, 1e-3) << "alpha0=" << c_.alpha0;
+}
+
+TEST_P(FamilySweep, IntervalMassPartitions) {
+  const double total = law_.interval_mass(0.0, 1.0, c_.beta) +
+                       law_.interval_mass(1.0, 4.0, c_.beta) +
+                       law_.interval_mass(4.0, kInf, c_.beta);
+  EXPECT_NEAR(total, 1.0, 1e-10) << "alpha0=" << c_.alpha0;
+}
+
+TEST_P(FamilySweep, MleRecoversSimulationTruth) {
+  vbsrm::random::Rng rng(2000 + GetParam());
+  const double omega = 400.0;
+  // Horizon at the 95% quantile of the law so most faults are seen.
+  double te = 1.0;
+  while (law_.cdf(te, c_.beta) < 0.95) te *= 1.4;
+  const auto sim =
+      vbsrm::data::simulate_gamma_nhpp(rng, omega, c_.alpha0, c_.beta, te);
+  ASSERT_GT(sim.count(), 200u);
+  const auto fit = n::fit_em(c_.alpha0, sim);
+  EXPECT_TRUE(fit.converged) << "alpha0=" << c_.alpha0;
+  EXPECT_NEAR(fit.omega, omega, 0.15 * omega) << "alpha0=" << c_.alpha0;
+  // The reported log-likelihood is the fit's, and it must beat the
+  // truth's (it is the MLE).
+  EXPECT_NEAR(fit.log_likelihood,
+              n::log_likelihood_at(c_.alpha0, fit.omega, fit.beta, sim), 1e-8)
+      << "alpha0=" << c_.alpha0;
+  EXPECT_GE(fit.log_likelihood + 1e-6,
+            n::log_likelihood_at(c_.alpha0, omega, c_.beta, sim))
+      << "alpha0=" << c_.alpha0;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilySweep,
+                         ::testing::Range<std::size_t>(0, 7));
 
 }  // namespace
