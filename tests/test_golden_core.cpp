@@ -4,6 +4,9 @@
 // priors, alpha0 values and truncation regimes: fit diagnostics, a hash
 // of every component's bit patterns, the summary moments, credible
 // intervals, and (for informative priors) reliability windows.
+// tests/golden/engine_outputs.txt does the same for all five methods as
+// engine::make returns them: diagnostics, summary, 0.99 intervals and
+// one reliability window on D_T-Info and D_G-Info.
 //
 // Every value is asserted bitwise.  A change that is meant to move the
 // numbers replaces this exact comparison with a stated relative
@@ -21,12 +24,14 @@
 
 #include "core/vb2.hpp"
 #include "data/datasets.hpp"
+#include "engine/registry.hpp"
 #include "data/simulate.hpp"
 #include "random/rng.hpp"
 
 namespace c = vbsrm::core;
 namespace b = vbsrm::bayes;
 namespace d = vbsrm::data;
+namespace e = vbsrm::engine;
 
 namespace {
 
@@ -111,9 +116,10 @@ std::vector<std::string> golden_lines(const std::string& name,
   return out;
 }
 
-/// Fixture lines whose first field is `name`, in file order.
-std::vector<std::string> fixture_lines(const std::string& name) {
-  std::ifstream in(VBSRM_GOLDEN_DIR "/core_outputs.txt");
+/// Lines of fixture `file` whose first field is `name`, in file order.
+std::vector<std::string> fixture_lines(const std::string& file,
+                                       const std::string& name) {
+  std::ifstream in(std::string(VBSRM_GOLDEN_DIR "/") + file);
   EXPECT_TRUE(in.good()) << "cannot open the golden fixture";
   std::vector<std::string> out;
   std::string line;
@@ -125,10 +131,9 @@ std::vector<std::string> fixture_lines(const std::string& name) {
   return out;
 }
 
-void expect_golden(const std::string& name, const c::Vb2Estimator& vb,
-                   bool with_reliability) {
-  const auto actual = golden_lines(name, vb, with_reliability);
-  const auto expected = fixture_lines(name);
+void expect_lines(const std::string& file, const std::string& name,
+                  const std::vector<std::string>& actual) {
+  const auto expected = fixture_lines(file, name);
   EXPECT_EQ(actual.size(), expected.size()) << "line count for " << name;
   for (std::size_t i = 0; i < actual.size(); ++i) {
     if (i >= expected.size() || actual[i] != expected[i]) {
@@ -136,6 +141,71 @@ void expect_golden(const std::string& name, const c::Vb2Estimator& vb,
                     << (i < expected.size() ? expected[i] : "<missing>")
                     << "\n  actual: " << actual[i];
     }
+  }
+}
+
+void expect_golden(const std::string& name, const c::Vb2Estimator& vb,
+                   bool with_reliability) {
+  expect_lines("core_outputs.txt", name,
+               golden_lines(name, vb, with_reliability));
+}
+
+/// The fixture lines one engine estimator produces: every deterministic
+/// diagnostic, the summary, the 0.99 intervals and the 0.99 reliability
+/// over a window of a tenth of the horizon.
+std::vector<std::string> engine_lines(const std::string& name,
+                                      const std::string& method,
+                                      const e::EstimatorRequest& req) {
+  const auto est = e::make(method, req);
+  std::vector<std::string> out;
+  auto add = [&](const std::string& key, const std::string& values) {
+    out.push_back(name + ' ' + key + ' ' + values);
+  };
+  const e::Diagnostics& dg = est->diagnostics();
+  add("diagnostics",
+      std::to_string(dg.iterations) + ' ' + std::to_string(dg.converged) +
+          ' ' + std::to_string(dg.n_max_used) + ' ' +
+          hex(dg.tail_mass_at_n_max) + ' ' +
+          std::to_string(dg.grid_points_per_axis) + ' ' +
+          std::to_string(dg.chain_samples) + ' ' +
+          std::to_string(dg.variates) + ' ' + std::to_string(dg.chains) +
+          ' ' + std::to_string(est->mixture() != nullptr));
+  const auto s = est->summarize();
+  add("summary", hex(s.mean_omega) + ' ' + hex(s.mean_beta) + ' ' +
+                     hex(s.var_omega) + ' ' + hex(s.var_beta) + ' ' +
+                     hex(s.cov));
+  const auto io = est->interval_omega(0.99);
+  const auto ib = est->interval_beta(0.99);
+  add("interval_omega", hex(io.lower) + ' ' + hex(io.upper));
+  add("interval_beta", hex(ib.lower) + ' ' + hex(ib.upper));
+  const double u = 0.1 * req.horizon();
+  const auto r = est->reliability(u, 0.99);
+  add("reliability " + hex(u),
+      hex(r.point) + ' ' + hex(r.lower) + ' ' + hex(r.upper));
+  return out;
+}
+
+/// System 17 with informative priors and MCMC cut to seconds: the
+/// numbers are frozen here, not judged.
+e::EstimatorRequest engine_request(bool grouped, int chains) {
+  e::EstimatorRequest req =
+      grouped ? e::EstimatorRequest(1.0, d::datasets::system17_grouped(),
+                                    info_priors_dg())
+              : e::EstimatorRequest(1.0, d::datasets::system17_failure_times(),
+                                    info_priors_dt());
+  req.mcmc.base.burn_in = 500;
+  req.mcmc.base.thin = 2;
+  req.mcmc.base.samples = 1000;
+  req.mcmc.base.seed = 20070625;
+  req.mcmc.chains = chains;
+  return req;
+}
+
+void expect_engine_golden(const std::string& prefix, bool grouped) {
+  for (const char* method : {"vb2", "vb1", "nint", "laplace", "mcmc"}) {
+    const std::string name = prefix + '_' + method;
+    expect_lines("engine_outputs.txt", name,
+                 engine_lines(name, method, engine_request(grouped, 1)));
   }
 }
 
@@ -197,4 +267,21 @@ TEST(GoldenCore, SimulatedFlatAlpha2) {
   const auto ft = d::simulate_gamma_nhpp(rng, 120.0, 2.0, 2.5e-3, 2000.0);
   expect_golden("sim_flat_a2", c::Vb2Estimator(2.0, ft, b::PriorPair::flat()),
                 false);
+}
+
+TEST(GoldenEngine, FailureTimeInfoAllMethods) {
+  expect_engine_golden("dt_info", false);
+}
+
+TEST(GoldenEngine, GroupedInfoAllMethods) {
+  expect_engine_golden("dg_info", true);
+}
+
+// Three pooled chains: the multi-chain path and its R-hat verdict.
+TEST(GoldenEngine, McmcThreeChains) {
+  for (const bool grouped : {false, true}) {
+    const std::string name = grouped ? "dg_info_mcmc3" : "dt_info_mcmc3";
+    expect_lines("engine_outputs.txt", name,
+                 engine_lines(name, "mcmc", engine_request(grouped, 3)));
+  }
 }
