@@ -32,11 +32,9 @@ double cross_chain_rhat(const std::vector<std::vector<double>>& chains) {
   return std::sqrt(var_plus / w);
 }
 
-namespace {
-
-template <typename RunOne>
-MultiChainResult run_chains(int n_chains, double alpha0, double horizon,
-                            const McmcOptions& base, RunOne&& run_one) {
+MultiChainResult run_chains(
+    int n_chains, double alpha0, double horizon, const McmcOptions& base,
+    const std::function<ChainResult(const McmcOptions&)>& run_one) {
   if (n_chains < 2) {
     throw std::invalid_argument("run_chains: need >= 2 chains");
   }
@@ -72,8 +70,6 @@ MultiChainResult run_chains(int n_chains, double alpha0, double horizon,
   return out;
 }
 
-}  // namespace
-
 MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
                                             const data::FailureTimeData& d,
                                             const PriorPair& priors,
@@ -81,16 +77,6 @@ MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
   return run_chains(n_chains, alpha0, d.observation_end(), base,
                     [&](const McmcOptions& opt) {
                       return gibbs_failure_times(alpha0, d, priors, opt);
-                    });
-}
-
-MultiChainResult gibbs_grouped_chains(int n_chains, double alpha0,
-                                      const data::GroupedData& d,
-                                      const PriorPair& priors,
-                                      const McmcOptions& base) {
-  return run_chains(n_chains, alpha0, d.observation_end(), base,
-                    [&](const McmcOptions& opt) {
-                      return gibbs_grouped(alpha0, d, priors, opt);
                     });
 }
 

@@ -7,6 +7,7 @@
 // chains are pooled in index order.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "bayes/gibbs.hpp"
@@ -28,14 +29,16 @@ struct MultiChainResult {
 /// Cross-chain R-hat for an arbitrary selector over equal-length chains.
 double cross_chain_rhat(const std::vector<std::vector<double>>& chains);
 
+/// Run `n_chains` (>= 2) chains of `run_one`, each with `base` but its
+/// own seed, and pool them.  `alpha0` and `horizon` are the model's, for
+/// the pooled chain's reliability functionals.
+MultiChainResult run_chains(
+    int n_chains, double alpha0, double horizon, const McmcOptions& base,
+    const std::function<ChainResult(const McmcOptions&)>& run_one);
+
 MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
                                             const data::FailureTimeData& d,
                                             const PriorPair& priors,
                                             const McmcOptions& base = {});
-
-MultiChainResult gibbs_grouped_chains(int n_chains, double alpha0,
-                                      const data::GroupedData& d,
-                                      const PriorPair& priors,
-                                      const McmcOptions& base = {});
 
 }  // namespace vbsrm::bayes

@@ -1,5 +1,7 @@
 #include "engine/adapters.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "bayes/gibbs.hpp"
@@ -37,6 +39,59 @@ bayes::Box nint_box_from(const core::GammaMixturePosterior& posterior) {
 namespace adapters {
 namespace {
 
+/// The one Estimator over a fitted object.  Every query goes to the
+/// object's posterior: VB1 and VB2 reach their gamma mixture through
+/// posterior(), NINT, Laplace and the MCMC chain answer themselves.
+template <typename Fitted>
+class Adapter final : public Estimator {
+ public:
+  Adapter(std::string_view method, Fitted fitted, const Diagnostics& diag)
+      : method_(method), fitted_(std::move(fitted)) {
+    diag_ = diag;
+  }
+
+  std::string_view method() const override { return method_; }
+  bayes::PosteriorSummary summarize() const override {
+    return posterior().summary();
+  }
+  bayes::CredibleInterval interval_omega(double level) const override {
+    return posterior().interval_omega(level);
+  }
+  bayes::CredibleInterval interval_beta(double level) const override {
+    return posterior().interval_beta(level);
+  }
+  bayes::ReliabilityEstimate reliability(double u,
+                                         double level) const override {
+    return posterior().reliability(u, level);
+  }
+  const core::GammaMixturePosterior* mixture() const override {
+    if constexpr (std::is_same_v<std::decay_t<decltype(posterior())>,
+                                 core::GammaMixturePosterior>) {
+      return &posterior();
+    } else {
+      return nullptr;
+    }
+  }
+
+ private:
+  const auto& posterior() const {
+    if constexpr (requires { fitted_.posterior(); }) {
+      return fitted_.posterior();
+    } else {
+      return fitted_;
+    }
+  }
+
+  std::string_view method_;
+  Fitted fitted_;
+};
+
+template <typename Fitted>
+std::unique_ptr<Estimator> wrap(std::string_view method, Fitted fitted,
+                                const Diagnostics& diag) {
+  return std::make_unique<Adapter<Fitted>>(method, std::move(fitted), diag);
+}
+
 core::Vb2Estimator fit_vb2(const EstimatorRequest& req) {
   return std::visit(
       [&](const auto& d) {
@@ -45,202 +100,81 @@ core::Vb2Estimator fit_vb2(const EstimatorRequest& req) {
       req.data);
 }
 
-class Vb2Adapter final : public Estimator {
- public:
-  explicit Vb2Adapter(const EstimatorRequest& req) : est_(fit_vb2(req)) {
-    diag_.iterations = est_.diagnostics().total_fixed_point_iterations;
-    diag_.n_max_used = est_.diagnostics().n_max_used;
-    diag_.tail_mass_at_n_max = est_.diagnostics().prob_at_n_max;
-  }
-
-  std::string_view method() const override { return "vb2"; }
-  bayes::PosteriorSummary summarize() const override {
-    return est_.posterior().summary();
-  }
-  bayes::CredibleInterval interval_omega(double level) const override {
-    return est_.posterior().interval_omega(level);
-  }
-  bayes::CredibleInterval interval_beta(double level) const override {
-    return est_.posterior().interval_beta(level);
-  }
-  bayes::ReliabilityEstimate reliability(double u,
-                                         double level) const override {
-    return est_.posterior().reliability(u, level);
-  }
-  const core::GammaMixturePosterior* mixture() const override {
-    return &est_.posterior();
-  }
-
- private:
-  core::Vb2Estimator est_;
-};
-
-class Vb1Adapter final : public Estimator {
- public:
-  explicit Vb1Adapter(const EstimatorRequest& req)
-      : est_(std::visit(
-            [&](const auto& d) {
-              return core::Vb1Estimator(req.alpha0, d, req.priors);
-            },
-            req.data)) {
-    diag_.iterations =
-        static_cast<std::uint64_t>(est_.diagnostics().iterations);
-    diag_.converged = est_.diagnostics().converged;
-  }
-
-  std::string_view method() const override { return "vb1"; }
-  bayes::PosteriorSummary summarize() const override {
-    return est_.posterior().summary();
-  }
-  bayes::CredibleInterval interval_omega(double level) const override {
-    return est_.posterior().interval_omega(level);
-  }
-  bayes::CredibleInterval interval_beta(double level) const override {
-    return est_.posterior().interval_beta(level);
-  }
-  bayes::ReliabilityEstimate reliability(double u,
-                                         double level) const override {
-    return est_.posterior().reliability(u, level);
-  }
-  const core::GammaMixturePosterior* mixture() const override {
-    return &est_.posterior();
-  }
-
- private:
-  core::Vb1Estimator est_;
-};
-
-class NintAdapter final : public Estimator {
- public:
-  explicit NintAdapter(const EstimatorRequest& req)
-      : est_(log_posterior_for(req), vb2_box(req, diag_)) {
-    const bayes::NintOptions grid;
-    diag_.grid_points_per_axis = static_cast<std::uint64_t>(grid.panels) *
-                                 static_cast<std::uint64_t>(grid.order);
-  }
-
-  std::string_view method() const override { return "nint"; }
-  bayes::PosteriorSummary summarize() const override { return est_.summary(); }
-  bayes::CredibleInterval interval_omega(double level) const override {
-    return est_.interval_omega(level);
-  }
-  bayes::CredibleInterval interval_beta(double level) const override {
-    return est_.interval_beta(level);
-  }
-  bayes::ReliabilityEstimate reliability(double u,
-                                         double level) const override {
-    return est_.reliability(u, level);
-  }
-
- private:
-  /// The paper's box-seeding dependency: run VB2 on the same request
-  /// and apply the quantile rule.
-  static bayes::Box vb2_box(const EstimatorRequest& req, Diagnostics& diag) {
-    const core::Vb2Estimator vb2 = fit_vb2(req);
-    diag.iterations = vb2.diagnostics().total_fixed_point_iterations;
-    diag.n_max_used = vb2.diagnostics().n_max_used;
-    diag.tail_mass_at_n_max = vb2.diagnostics().prob_at_n_max;
-    return nint_box_from(vb2.posterior());
-  }
-
-  bayes::NintEstimator est_;
-};
-
-class LaplaceAdapter final : public Estimator {
- public:
-  explicit LaplaceAdapter(const EstimatorRequest& req)
-      : est_(log_posterior_for(req)) {}
-
-  std::string_view method() const override { return "laplace"; }
-  bayes::PosteriorSummary summarize() const override { return est_.summary(); }
-  bayes::CredibleInterval interval_omega(double level) const override {
-    return est_.interval_omega(level);
-  }
-  bayes::CredibleInterval interval_beta(double level) const override {
-    return est_.interval_beta(level);
-  }
-  bayes::ReliabilityEstimate reliability(double u,
-                                         double level) const override {
-    return est_.reliability(u, level);
-  }
-
- private:
-  bayes::LaplaceEstimator est_;
-};
-
-class McmcAdapter final : public Estimator {
- public:
-  explicit McmcAdapter(const EstimatorRequest& req) {
-    const McmcEngineOptions& opt = req.mcmc;
-    if (opt.chains <= 1) {
-      chain_ = std::visit(
-          [&](const auto& d) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
-                                         data::GroupedData>) {
-              return bayes::gibbs_grouped(req.alpha0, d, req.priors, opt.base);
-            } else {
-              return bayes::gibbs_failure_times(req.alpha0, d, req.priors,
-                                                opt.base);
-            }
-          },
-          req.data);
-      diag_.chains = 1;
-    } else {
-      auto multi = std::visit(
-          [&](const auto& d) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
-                                         data::GroupedData>) {
-              return bayes::gibbs_grouped_chains(opt.chains, req.alpha0, d,
-                                                 req.priors, opt.base);
-            } else {
-              return bayes::gibbs_failure_times_chains(
-                  opt.chains, req.alpha0, d, req.priors, opt.base);
-            }
-          },
-          req.data);
-      diag_.converged = multi.converged();
-      diag_.chains = opt.chains;
-      chain_ = std::move(multi.pooled);
-    }
-    diag_.chain_samples = chain_->size();
-    diag_.variates = chain_->variates_generated();
-  }
-
-  std::string_view method() const override { return "mcmc"; }
-  bayes::PosteriorSummary summarize() const override {
-    return chain_->summary();
-  }
-  bayes::CredibleInterval interval_omega(double level) const override {
-    return chain_->interval_omega(level);
-  }
-  bayes::CredibleInterval interval_beta(double level) const override {
-    return chain_->interval_beta(level);
-  }
-  bayes::ReliabilityEstimate reliability(double u,
-                                         double level) const override {
-    return chain_->reliability(u, level);
-  }
-
- private:
-  std::optional<bayes::ChainResult> chain_;
-};
+Diagnostics vb2_diagnostics(const core::Vb2Estimator& vb2) {
+  Diagnostics diag;
+  diag.iterations = vb2.diagnostics().total_fixed_point_iterations;
+  diag.n_max_used = vb2.diagnostics().n_max_used;
+  diag.tail_mass_at_n_max = vb2.diagnostics().prob_at_n_max;
+  return diag;
+}
 
 }  // namespace
 
 std::unique_ptr<Estimator> make_vb2(const EstimatorRequest& req) {
-  return std::make_unique<Vb2Adapter>(req);
+  core::Vb2Estimator vb2 = fit_vb2(req);
+  const Diagnostics diag = vb2_diagnostics(vb2);
+  return wrap("vb2", std::move(vb2), diag);
 }
+
 std::unique_ptr<Estimator> make_vb1(const EstimatorRequest& req) {
-  return std::make_unique<Vb1Adapter>(req);
+  core::Vb1Estimator vb1 = std::visit(
+      [&](const auto& d) {
+        return core::Vb1Estimator(req.alpha0, d, req.priors);
+      },
+      req.data);
+  Diagnostics diag;
+  diag.iterations = static_cast<std::uint64_t>(vb1.diagnostics().iterations);
+  diag.converged = vb1.diagnostics().converged;
+  return wrap("vb1", std::move(vb1), diag);
 }
+
+/// The paper's box-seeding dependency: run VB2 on the same request and
+/// apply the quantile rule.  The diagnostics are that VB2 run's.
 std::unique_ptr<Estimator> make_nint(const EstimatorRequest& req) {
-  return std::make_unique<NintAdapter>(req);
+  const core::Vb2Estimator vb2 = fit_vb2(req);
+  Diagnostics diag = vb2_diagnostics(vb2);
+  const bayes::NintOptions grid;
+  diag.grid_points_per_axis = static_cast<std::uint64_t>(grid.panels) *
+                              static_cast<std::uint64_t>(grid.order);
+  return wrap("nint",
+              bayes::NintEstimator(log_posterior_for(req),
+                                   nint_box_from(vb2.posterior()), grid),
+              diag);
 }
+
 std::unique_ptr<Estimator> make_laplace(const EstimatorRequest& req) {
-  return std::make_unique<LaplaceAdapter>(req);
+  return wrap("laplace", bayes::LaplaceEstimator(log_posterior_for(req)),
+              Diagnostics{});
 }
+
 std::unique_ptr<Estimator> make_mcmc(const EstimatorRequest& req) {
-  return std::make_unique<McmcAdapter>(req);
+  const McmcEngineOptions& opt = req.mcmc;
+  const std::function<bayes::ChainResult(const bayes::McmcOptions&)>
+      run_one = [&](const bayes::McmcOptions& o) {
+        return std::visit(
+            [&](const auto& d) {
+              if constexpr (std::is_same_v<std::decay_t<decltype(d)>,
+                                           data::GroupedData>) {
+                return bayes::gibbs_grouped(req.alpha0, d, req.priors, o);
+              } else {
+                return bayes::gibbs_failure_times(req.alpha0, d, req.priors,
+                                                  o);
+              }
+            },
+            req.data);
+      };
+  Diagnostics diag;
+  diag.chains = std::max(opt.chains, 1);
+  bayes::ChainResult chain = [&] {
+    if (opt.chains <= 1) return run_one(opt.base);
+    bayes::MultiChainResult multi = bayes::run_chains(
+        opt.chains, req.alpha0, req.horizon(), opt.base, run_one);
+    diag.converged = multi.converged();
+    return std::move(multi.pooled);
+  }();
+  diag.chain_samples = chain.size();
+  diag.variates = chain.variates_generated();
+  return wrap("mcmc", std::move(chain), diag);
 }
 
 }  // namespace adapters
