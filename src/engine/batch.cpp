@@ -17,6 +17,22 @@ std::uint64_t derive_cell_seed(std::uint64_t base, std::uint64_t cell) {
   return z ^ (z >> 31);
 }
 
+EstimationReport build_report(const Estimator& est, double level,
+                              const std::vector<double>& windows) {
+  EstimationReport out;
+  out.level = level;
+  out.summary = est.summarize();
+  out.omega_interval = est.interval_omega(level);
+  out.beta_interval = est.interval_beta(level);
+  out.reliability.reserve(windows.size());
+  for (const double u : windows) {
+    out.reliability.push_back(est.reliability(u, level));
+  }
+  out.diagnostics = est.diagnostics();
+  out.ok = true;
+  return out;
+}
+
 BatchRunner::BatchRunner(unsigned threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();
@@ -42,57 +58,38 @@ std::vector<EstimationReport> BatchRunner::run(
   // Slots are preassigned, so writes never race and the output order
   // does not depend on scheduling.
   auto run_cell = [&](std::size_t cell) {
-    const std::size_t mi = cell / n_requests;
     const std::size_t ri = cell % n_requests;
-    const std::string& method = spec.methods[mi];
-
-    if (cancel != nullptr && cancel->load()) {
-      for (std::size_t li = 0; li < n_levels; ++li) {
-        EstimationReport& out = reports[cell * n_levels + li];
-        out.method = method;
-        out.request_index = ri;
-        out.level = spec.levels[li];
-        out.error = "canceled";
-      }
-      return;
-    }
-
-    EstimatorRequest req = spec.requests[ri];
-    if (spec.mcmc_seed_base != 0) {
-      req.mcmc.base.seed = derive_cell_seed(spec.mcmc_seed_base, cell);
-    }
+    const std::string& method = spec.methods[cell / n_requests];
 
     std::unique_ptr<Estimator> est;
-    std::string error;
-    try {
-      est = make(method, req);
-    } catch (const std::exception& e) {
-      error = e.what();
+    std::string error = "canceled";
+    if (cancel == nullptr || !cancel->load()) {
+      EstimatorRequest req = spec.requests[ri];
+      if (spec.mcmc_seed_base != 0) {
+        req.mcmc.base.seed = derive_cell_seed(spec.mcmc_seed_base, cell);
+      }
+      error = "estimator construction failed";
+      try {
+        est = make(method, req);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
     }
 
     for (std::size_t li = 0; li < n_levels; ++li) {
       EstimationReport& out = reports[cell * n_levels + li];
+      if (est) {
+        try {
+          out = build_report(*est, spec.levels[li], spec.reliability_windows);
+        } catch (const std::exception& e) {
+          out.error = e.what();
+        }
+      } else {
+        out.error = error;
+      }
       out.method = method;
       out.request_index = ri;
       out.level = spec.levels[li];
-      if (!est) {
-        out.error = error.empty() ? "estimator construction failed" : error;
-        continue;
-      }
-      try {
-        out.summary = est->summarize();
-        out.omega_interval = est->interval_omega(out.level);
-        out.beta_interval = est->interval_beta(out.level);
-        out.reliability.reserve(spec.reliability_windows.size());
-        for (double u : spec.reliability_windows) {
-          out.reliability.push_back(est->reliability(u, out.level));
-        }
-        out.diagnostics = est->diagnostics();
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-      }
     }
   };
 

@@ -52,6 +52,13 @@ struct EstimationReport {
   Diagnostics diagnostics;
 };
 
+/// Query a fitted estimator for one report: summary, both intervals at
+/// `level`, reliability per window and diagnostics, with `ok` set.  The
+/// one report builder behind BatchRunner cells and the serving layer's
+/// estimate responses; `method` and `request_index` are the caller's.
+EstimationReport build_report(const Estimator& est, double level,
+                              const std::vector<double>& windows);
+
 /// Deterministic MCMC seed for a (method, request) cell: splitmix64 of
 /// the base and the cell's position in the grid.
 std::uint64_t derive_cell_seed(std::uint64_t base, std::uint64_t cell);

@@ -384,14 +384,8 @@ std::string_view path_of(std::string_view target) {
 
 json::Value estimate_response(const engine::Estimator& est,
                               const EstimateQuery& query) {
-  engine::EstimationReport rep;
-  rep.summary = est.summarize();
-  rep.omega_interval = est.interval_omega(query.level);
-  rep.beta_interval = est.interval_beta(query.level);
-  for (const double u : query.reliability_windows) {
-    rep.reliability.push_back(est.reliability(u, query.level));
-  }
-  rep.diagnostics = est.diagnostics();
+  const engine::EstimationReport rep =
+      engine::build_report(est, query.level, query.reliability_windows);
   json::Value out = json::Value::object();
   out["method"] = std::string(est.method());
   out["level"] = query.level;
