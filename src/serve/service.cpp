@@ -289,6 +289,24 @@ std::string canonical_key(const std::string& method, double level,
   return json::write(canon);
 }
 
+/// A decoded /v1/estimate body and its cache key.
+struct EstimateCall {
+  std::string method;
+  double level = 0.99;
+  ParsedCommon common;
+  std::string key;
+};
+
+/// The one /v1/estimate decoder, behind handle_estimate and
+/// canonical_estimate_key.  Throws json::ParseError or BadRequest.
+EstimateCall decode_estimate(const std::string& body) {
+  const json::Value doc = json::parse(body);
+  if (!doc.is_object()) throw BadRequest("request body must be a JSON object");
+  EstimateCall call{parse_method(doc), parse_level(doc), parse_common(doc), {}};
+  call.key = canonical_key(call.method, call.level, call.common);
+  return call;
+}
+
 // --- response documents ----------------------------------------------------
 
 json::Value interval_json(const bayes::CredibleInterval& ci) {
@@ -358,15 +376,6 @@ Response json_response(int status, const json::Value& doc) {
   return r;
 }
 
-Response error_response(int status, const std::string& message) {
-  json::Value doc = json::Value::object();
-  json::Value err = json::Value::object();
-  err["status"] = status;
-  err["message"] = message;
-  doc["error"] = std::move(err);
-  return json_response(status, doc);
-}
-
 /// 503 with the Retry-After hint every rejection carries.
 Response unavailable(const std::string& message) {
   Response r = error_response(503, message);
@@ -381,6 +390,15 @@ std::string_view path_of(std::string_view target) {
 }
 
 }  // namespace
+
+Response error_response(int status, const std::string& message) {
+  json::Value doc = json::Value::object();
+  json::Value err = json::Value::object();
+  err["status"] = status;
+  err["message"] = message;
+  doc["error"] = std::move(err);
+  return json_response(status, doc);
+}
 
 json::Value estimate_response(const engine::Estimator& est,
                               const EstimateQuery& query) {
@@ -543,24 +561,16 @@ Response Service::handle_methods() {
 }
 
 Response Service::handle_estimate(const Request& req) {
-  std::string method;
-  double level = 0.99;
-  std::shared_ptr<ParsedCommon> common;
-  std::string key;
+  std::shared_ptr<const EstimateCall> call;
   try {
-    const json::Value doc = json::parse(req.body);
-    if (!doc.is_object()) throw BadRequest("request body must be a JSON object");
-    method = parse_method(doc);
-    level = parse_level(doc);
-    common = std::make_shared<ParsedCommon>(parse_common(doc));
-    key = canonical_key(method, level, *common);
+    call = std::make_shared<const EstimateCall>(decode_estimate(req.body));
   } catch (const json::ParseError& e) {
     return error_response(400, std::string("invalid JSON: ") + e.what());
   } catch (const BadRequest& e) {
     return error_response(400, e.what());
   }
 
-  if (std::optional<std::string> hit = cache_.get(key)) {
+  if (std::optional<std::string> hit = cache_.get(call->key)) {
     Response r;
     r.body = std::move(*hit);
     r.headers.emplace_back("X-Cache", "hit");
@@ -568,17 +578,18 @@ Response Service::handle_estimate(const Request& req) {
   }
 
   return submit_and_wait(
-      [this, method, level, common, key](const std::atomic<bool>&) {
-        EstimateQuery query{method, level, common->reliability_windows};
+      [this, call](const std::atomic<bool>&) {
+        const EstimateQuery query{call->method, call->level,
+                                  call->common.reliability_windows};
         Response r;
         try {
           const std::unique_ptr<engine::Estimator> est =
-              engine::make(method, common->to_request());
+              engine::make(call->method, call->common.to_request());
           r = json_response(200, estimate_response(*est, query));
         } catch (const std::exception& e) {
           return error_response(500, std::string("estimation failed: ") + e.what());
         }
-        cache_.put(key, r.body);
+        cache_.put(call->key, r.body);
         r.headers.emplace_back("X-Cache", "miss");
         return r;
       },
@@ -766,12 +777,7 @@ void Service::record(const Request& req, const Response& resp,
 }
 
 std::string Service::canonical_estimate_key(const std::string& body) const {
-  const json::Value doc = json::parse(body);
-  if (!doc.is_object()) throw BadRequest("request body must be a JSON object");
-  const std::string method = parse_method(doc);
-  const double level = parse_level(doc);
-  const ParsedCommon common = parse_common(doc);
-  return canonical_key(method, level, common);
+  return decode_estimate(body).key;
 }
 
 }  // namespace vbsrm::serve

@@ -84,6 +84,10 @@ struct EstimateQuery {
 json::Value estimate_response(const engine::Estimator& est,
                               const EstimateQuery& query);
 
+/// The JSON error response every failure carries:
+/// {"error":{"status":<status>,"message":<message>}}.
+Response error_response(int status, const std::string& message);
+
 struct LatencyBucket {
   double lo_ms = 0.0;
   double hi_ms = 0.0;
