@@ -11,6 +11,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -42,6 +43,18 @@ std::string_view trimmed(std::string_view s) {
   return s;
 }
 
+/// X-Deadline-Ms as a whole finite number > 0; false leaves `ms` alone.
+bool parse_deadline_ms(const std::string& v, double& ms) {
+  double x = 0.0;
+  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  if (ec != std::errc() || p != v.data() + v.size() || !std::isfinite(x) ||
+      !(x > 0.0)) {
+    return false;
+  }
+  ms = x;
+  return true;
+}
+
 }  // namespace
 
 ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
@@ -64,13 +77,11 @@ ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
       break;
     }
   }
-  if (head_end == std::string_view::npos) {
-    if (buf.size() > kMaxHeadBytes) {
-      error = "request head too large";
-      return ParseStatus::Bad;
-    }
-    return ParseStatus::Incomplete;
+  if (std::min(head_end, buf.size()) > kMaxHeadBytes) {
+    error = "request head too large";
+    return ParseStatus::Bad;
   }
+  if (head_end == std::string_view::npos) return ParseStatus::Incomplete;
 
   // Request line.
   const std::string_view head = buf.substr(0, head_end);
@@ -113,8 +124,14 @@ ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
       error = "malformed header line";
       return ParseStatus::Bad;
     }
-    out.headers[lowered(trimmed(line.substr(0, colon)))] =
-        std::string(trimmed(line.substr(colon + 1)));
+    std::string value(trimmed(line.substr(colon + 1)));
+    const auto [it, fresh] =
+        out.headers.try_emplace(lowered(trimmed(line.substr(0, colon))), value);
+    if (!fresh && it->first == "content-length" && it->second != value) {
+      error = "conflicting Content-Length";
+      return ParseStatus::Bad;
+    }
+    it->second = std::move(value);  // other repeats: the last one wins
   }
 
   // Body via Content-Length (chunked encoding is not supported).
@@ -281,16 +298,8 @@ void HttpServer::serve_connection(std::shared_ptr<Shared> shared, int fd) {
     }
     if (!open) break;
     if (st == ParseStatus::Bad) {
-      json::Value doc = json::Value::object();
-      json::Value err = json::Value::object();
-      err["status"] = 400;
-      err["message"] = perr;
-      doc["error"] = std::move(err);
-      Response bad;
-      bad.status = 400;
-      bad.body = json::write(doc);
-      bad.body.push_back('\n');
-      const std::string wire = serialize_response(bad, false);
+      const std::string wire =
+          serialize_response(error_response(400, perr), false);
       (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
       break;
     }
@@ -300,16 +309,19 @@ void HttpServer::serve_connection(std::shared_ptr<Shared> shared, int fd) {
     req.method = hreq.method;
     req.target = hreq.target;
     req.body = std::move(hreq.body);
-    if (const auto it = hreq.headers.find("x-deadline-ms");
-        it != hreq.headers.end()) {
-      req.deadline_ms = std::atof(it->second.c_str());
-    }
+    const auto deadline = hreq.headers.find("x-deadline-ms");
+    const bool bad_deadline =
+        deadline != hreq.headers.end() &&
+        !parse_deadline_ms(deadline->second, req.deadline_ms);
     const bool keep_alive =
         !shared->stop.load() && hreq.version == "HTTP/1.1" &&
         lowered(hreq.headers.count("connection") ? hreq.headers.at("connection")
                                                  : "") != "close";
 
-    const Response resp = shared->service->handle(req);
+    const Response resp =
+        bad_deadline
+            ? error_response(400, "X-Deadline-Ms must be a finite number > 0")
+            : shared->service->handle(req);
     const std::string wire = serialize_response(resp, keep_alive);
     std::size_t off = 0;
     while (off < wire.size()) {

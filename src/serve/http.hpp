@@ -34,8 +34,9 @@ enum class ParseStatus {
 
 /// Parse one request from the front of `buf`.  Accepts both CRLF and
 /// bare-LF line endings; requires Content-Length for bodies (no chunked
-/// encoding).  Oversized heads/bodies are Bad, not Incomplete, so a
-/// hostile peer cannot make the reader buffer forever.
+/// encoding), and a repeated Content-Length must repeat the same value.
+/// Heads over 64 KiB and bodies over `max_body_bytes` are Bad, not
+/// Incomplete, so a hostile peer cannot make the reader buffer forever.
 ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
                                std::size_t& consumed, std::string& error,
                                std::size_t max_body_bytes = 8u << 20);
@@ -56,7 +57,9 @@ struct HttpServerOptions {
 /// request_stop(); it then stops accepting, finishes in-flight
 /// connections (keep-alive loops exit after the current request), and
 /// joins every connection thread.  The caller drains the Service queue
-/// afterwards via Service::shutdown().
+/// afterwards via Service::shutdown().  An X-Deadline-Ms header becomes
+/// Request::deadline_ms; one that is not a whole finite number > 0 is
+/// answered 400.
 class HttpServer {
  public:
   /// Binds and listens immediately; throws std::runtime_error on
