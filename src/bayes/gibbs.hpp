@@ -13,10 +13,12 @@
 //                            Gamma(m_b + (m+r) alpha0, phi_b + sum all T).
 //
 // Grouped data (Tanner-Wong data augmentation, as the paper's Sec. 6
-// implementation): each iteration re-samples every observed failure's
-// exact time from the gamma law truncated to its interval, plus the
-// residual count/time as above.  This is why the grouped chain costs
-// ~(3 + M) variates per iteration (Table 6: 8,610,000 for System 17).
+// implementation): the same iteration, preceded by one step that
+// re-samples every observed failure's exact time from the gamma law
+// truncated to its interval.  Both samplers run one iteration loop whose
+// only per-scheme step is that observed total time.  This is why the
+// grouped chain costs ~(3 + M) variates per iteration (Table 6:
+// 8,610,000 for System 17).
 #pragma once
 
 #include "bayes/chain.hpp"

@@ -10,10 +10,10 @@
 //   auto ci  = est->interval_omega(0.99);
 //   auto r   = est->reliability(1000.0, 0.99);
 //
-// The adapters wrap the concrete estimators in src/core and src/bayes
-// without re-deriving anything; in particular the paper's VB2 -> NINT
+// One adapter template wraps the concrete estimators in src/core and
+// src/bayes without re-deriving anything; the paper's VB2 -> NINT
 // integration-box seeding (box = [q0.5%/2, q99.5%*1.5] of the VB2
-// posterior) lives inside the NINT adapter instead of being copy-pasted
+// posterior) lives inside the NINT factory instead of being copy-pasted
 // at every call site.
 #pragma once
 
@@ -118,7 +118,7 @@ class Estimator {
 };
 
 /// Build the shared unnormalized log posterior for a request (used by
-/// the NINT/Laplace adapters and exposed for callers that need it).
+/// the NINT/Laplace factories and exposed for callers that need it).
 bayes::LogPosterior log_posterior_for(const EstimatorRequest& req);
 
 /// The paper's NINT box rule applied to a VB2 posterior:
