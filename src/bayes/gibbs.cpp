@@ -29,6 +29,11 @@ ChainResult run_gibbs(double alpha0, std::size_t failures, double horizon,
   double omega = 1.5 * m + 1.0;  // initial state
   double beta = alpha0 / (0.6 * horizon);
 
+  constexpr std::size_t kMaxIter = std::numeric_limits<std::size_t>::max();
+  if (opt.thin != 0 && opt.samples > (kMaxIter - opt.burn_in) / opt.thin) {
+    throw std::invalid_argument(
+        "gibbs: burn_in + thin * samples overflows the iteration count");
+  }
   const std::size_t total_iter = opt.burn_in + opt.thin * opt.samples;
   std::vector<double> omega_chain, beta_chain;
   omega_chain.reserve(opt.samples);

@@ -18,7 +18,8 @@
 // truncated to its interval.  Both samplers run one iteration loop whose
 // only per-scheme step is that observed total time.  This is why the
 // grouped chain costs ~(3 + M) variates per iteration (Table 6:
-// 8,610,000 for System 17).
+// 8,610,000 for System 17).  Both samplers throw std::invalid_argument
+// when burn_in + thin * samples does not fit in std::size_t.
 #pragma once
 
 #include "bayes/chain.hpp"

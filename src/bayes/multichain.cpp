@@ -70,14 +70,4 @@ MultiChainResult run_chains(
   return out;
 }
 
-MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
-                                            const data::FailureTimeData& d,
-                                            const PriorPair& priors,
-                                            const McmcOptions& base) {
-  return run_chains(n_chains, alpha0, d.observation_end(), base,
-                    [&](const McmcOptions& opt) {
-                      return gibbs_failure_times(alpha0, d, priors, opt);
-                    });
-}
-
 }  // namespace vbsrm::bayes

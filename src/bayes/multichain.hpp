@@ -36,9 +36,4 @@ MultiChainResult run_chains(
     int n_chains, double alpha0, double horizon, const McmcOptions& base,
     const std::function<ChainResult(const McmcOptions&)>& run_one);
 
-MultiChainResult gibbs_failure_times_chains(int n_chains, double alpha0,
-                                            const data::FailureTimeData& d,
-                                            const PriorPair& priors,
-                                            const McmcOptions& base = {});
-
 }  // namespace vbsrm::bayes

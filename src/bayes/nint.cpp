@@ -20,7 +20,7 @@ Box Box::from_quantiles(double omega_q005, double omega_q995,
 
 NintEstimator::NintEstimator(LogPosterior posterior, Box box,
                              NintOptions opt)
-    : posterior_(std::move(posterior)), box_(box) {
+    : posterior_(std::move(posterior)) {
   if (!(box.omega_hi > box.omega_lo) || !(box.beta_hi > box.beta_lo) ||
       box.omega_lo < 0.0 || box.beta_lo < 0.0) {
     throw std::invalid_argument("NintEstimator: bad box");
@@ -29,9 +29,7 @@ NintEstimator::NintEstimator(LogPosterior posterior, Box box,
                                          box.beta_lo, box.beta_hi,
                                          opt.panels, opt.order);
   omega_nodes_ = grid.x;
-  omega_w_ = grid.wx;
   beta_nodes_ = grid.y;
-  beta_w_ = grid.wy;
 
   const std::size_t no = omega_nodes_.size();
   const std::size_t nb = beta_nodes_.size();
@@ -52,10 +50,10 @@ NintEstimator::NintEstimator(LogPosterior posterior, Box box,
     const double omega = omega_nodes_[i];
     const double pomega = posterior_.priors().omega.log_density(omega) +
                           mlog * std::log(omega);
-    const double lwi = std::log(omega_w_[i]);
+    const double lwi = std::log(grid.wx[i]);
     for (std::size_t j = 0; j < nb; ++j) {
       const double lp = pomega + pb[j] + cb[j] - omega * db[j];
-      const double v = lp + lwi + std::log(beta_w_[j]);
+      const double v = lp + lwi + std::log(grid.wy[j]);
       logmass[i * nb + j] = v;
       peak = std::max(peak, v);
     }
@@ -141,28 +139,6 @@ CredibleInterval NintEstimator::interval_omega(double level) const {
 CredibleInterval NintEstimator::interval_beta(double level) const {
   const double a = 0.5 * (1.0 - level);
   return {quantile_beta(a), quantile_beta(1.0 - a), level};
-}
-
-std::vector<std::pair<double, double>> NintEstimator::marginal_omega() const {
-  const std::size_t no = omega_nodes_.size(), nb = beta_nodes_.size();
-  std::vector<std::pair<double, double>> out(no);
-  for (std::size_t i = 0; i < no; ++i) {
-    double mi = 0.0;
-    for (std::size_t j = 0; j < nb; ++j) mi += mass_[i * nb + j];
-    out[i] = {omega_nodes_[i], mi / omega_w_[i]};
-  }
-  return out;
-}
-
-std::vector<std::pair<double, double>> NintEstimator::marginal_beta() const {
-  const std::size_t no = omega_nodes_.size(), nb = beta_nodes_.size();
-  std::vector<std::pair<double, double>> out(nb);
-  for (std::size_t j = 0; j < nb; ++j) {
-    double mj = 0.0;
-    for (std::size_t i = 0; i < no; ++i) mj += mass_[i * nb + j];
-    out[j] = {beta_nodes_[j], mj / beta_w_[j]};
-  }
-  return out;
 }
 
 double NintEstimator::joint_density(double omega, double beta) const {

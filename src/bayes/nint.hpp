@@ -35,18 +35,12 @@ class NintEstimator {
  public:
   NintEstimator(LogPosterior posterior, Box box, NintOptions opt = {});
 
-  const Box& box() const { return box_; }
-
   PosteriorSummary summary() const;
 
   double quantile_omega(double p) const;
   double quantile_beta(double p) const;
   CredibleInterval interval_omega(double level) const;
   CredibleInterval interval_beta(double level) const;
-
-  /// Marginal posterior densities evaluated on grid nodes (normalized).
-  std::vector<std::pair<double, double>> marginal_omega() const;
-  std::vector<std::pair<double, double>> marginal_beta() const;
 
   /// Normalized joint density at an arbitrary point (for contour plots).
   double joint_density(double omega, double beta) const;
@@ -63,9 +57,8 @@ class NintEstimator {
   double node_weight_sum(std::size_t beta_index, double omega_cut) const;
 
   LogPosterior posterior_;
-  Box box_;
-  std::vector<double> omega_nodes_, omega_w_;
-  std::vector<double> beta_nodes_, beta_w_;
+  std::vector<double> omega_nodes_;
+  std::vector<double> beta_nodes_;
   // Normalized cell masses: mass_[i * nbeta + j] = w_i w_j post_ij / Z.
   std::vector<double> mass_;
   double log_z_ = 0.0;

@@ -189,22 +189,6 @@ bayes::CredibleInterval GammaMixturePosterior::interval_beta(
   return {quantile_beta(a), quantile_beta(1.0 - a), level};
 }
 
-double GammaMixturePosterior::marginal_pdf_omega(double x) const {
-  double s = 0.0;
-  for (const auto& c : components_) {
-    s += c.weight * std::exp(c.omega.log_pdf(x));
-  }
-  return s;
-}
-
-double GammaMixturePosterior::marginal_pdf_beta(double x) const {
-  double s = 0.0;
-  for (const auto& c : components_) {
-    s += c.weight * std::exp(c.beta.log_pdf(x));
-  }
-  return s;
-}
-
 double GammaMixturePosterior::joint_density(double omega, double beta) const {
   double s = 0.0;
   for (const auto& c : components_) {
@@ -239,9 +223,10 @@ constexpr double kFunctionalWeightFloor = 1e-12;
 constexpr int kFunctionalOrder = 24;
 constexpr int kFunctionalPanels = 8;
 
-/// Dot product of a cached component against g(flat node index),
-/// mirroring integrate_composite's per-panel summation order.  The
-/// component type is deduced (FunctionalCache::Comp is private).
+/// Dot product of a cached component against g(flat node index): each
+/// panel's weighted sum is scaled by its half-width, then the panels are
+/// added in order.  The component type is deduced (FunctionalCache::Comp
+/// is private).
 template <typename C, typename G>
 double cached_integral(const C& cc, G&& g) {
   double s = 0.0;

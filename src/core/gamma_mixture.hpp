@@ -78,8 +78,6 @@ class GammaMixturePosterior {
   bayes::CredibleInterval interval_omega(double level) const;
   bayes::CredibleInterval interval_beta(double level) const;
 
-  double marginal_pdf_omega(double x) const;
-  double marginal_pdf_beta(double x) const;
   /// Joint density (for the paper's Figure 1 contours).
   double joint_density(double omega, double beta) const;
 

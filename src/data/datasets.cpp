@@ -83,9 +83,4 @@ FailureTimeData ntds_failure_times() {
   return FailureTimeData(std::move(times), 250.0);
 }
 
-FailureTimeData synthetic_release_test(std::uint64_t seed) {
-  random::Rng rng(seed);
-  return simulate_gamma_nhpp(rng, 150.0, 1.0, 3e-5, 1.2e5);
-}
-
 }  // namespace vbsrm::data::datasets

@@ -36,8 +36,4 @@ GroupedData system17_grouped();
 /// errors of the Naval Tactical Data System, observed over 250 days.
 FailureTimeData ntds_failure_times();
 
-/// A larger synthetic release-test data set used by the examples:
-/// GO(omega=150, beta=3e-5) sampled on (0, 1.2e5] with the given seed.
-FailureTimeData synthetic_release_test(std::uint64_t seed = 7);
-
 }  // namespace vbsrm::data::datasets

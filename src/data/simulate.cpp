@@ -39,27 +39,6 @@ GroupedData simulate_gamma_nhpp_grouped(random::Rng& rng, double omega,
   return ft.to_grouped(bounds);
 }
 
-FailureTimeData simulate_by_thinning(
-    random::Rng& rng, const std::function<double(double)>& intensity,
-    double intensity_bound, double te) {
-  if (!(intensity_bound > 0.0) || !(te > 0.0)) {
-    throw std::invalid_argument("simulate_by_thinning: bad parameters");
-  }
-  std::vector<double> times;
-  double t = 0.0;
-  for (;;) {
-    t += random::sample_exponential(rng, intensity_bound);
-    if (t > te) break;
-    const double lam = intensity(t);
-    if (lam > intensity_bound * (1.0 + 1e-12)) {
-      throw std::invalid_argument(
-          "simulate_by_thinning: intensity exceeds its stated bound");
-    }
-    if (rng.next_double() * intensity_bound < lam) times.push_back(t);
-  }
-  return FailureTimeData(std::move(times), te);
-}
-
 std::vector<double> expected_order_statistics(
     const std::function<double(double)>& mean_value, double te,
     std::size_t m) {

@@ -24,12 +24,6 @@ GroupedData simulate_gamma_nhpp_grouped(random::Rng& rng, double omega,
                                         double alpha0, double beta, double te,
                                         std::size_t intervals);
 
-/// Generic NHPP via thinning: `intensity` must be bounded above by
-/// `intensity_bound` on (0, t_e].
-FailureTimeData simulate_by_thinning(
-    random::Rng& rng, const std::function<double(double)>& intensity,
-    double intensity_bound, double te);
-
 /// Deterministic "expected path": place m points at Lambda^{-1}(i - 1/2)
 /// of the mean value function, i = 1..m.  Produces a maximally regular
 /// realization whose MLE lands very close to the generating parameters;

@@ -4,96 +4,13 @@
 
 namespace vbsrm::math {
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::from_rows(
-    std::initializer_list<std::initializer_list<double>> rows) {
-  const std::size_t r = rows.size();
-  const std::size_t c = r ? rows.begin()->size() : 0;
-  Matrix m(r, c);
-  std::size_t i = 0;
-  for (const auto& row : rows) {
-    if (row.size() != c) throw std::invalid_argument("ragged initializer");
-    std::size_t j = 0;
-    for (double v : row) m(i, j++) = v;
-    ++i;
-  }
-  return m;
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) t(j, i) = (*this)(i, j);
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  if (cols_ != rhs.rows_) throw std::invalid_argument("shape mismatch in *");
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double v = (*this)(i, k);
-      if (v == 0.0) continue;
-      for (std::size_t j = 0; j < rhs.cols_; ++j) out(i, j) += v * rhs(k, j);
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
-    throw std::invalid_argument("shape mismatch in +");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
-    throw std::invalid_argument("shape mismatch in -");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::scaled(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
-  return out;
-}
-
-Matrix cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: not square");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (s <= 0.0) throw std::domain_error("cholesky: matrix not SPD");
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
 namespace {
 
 // LU decomposition with partial pivoting.  Returns false if singular.
-bool lu_decompose(Matrix& a, std::vector<std::size_t>& piv, double& sign) {
+bool lu_decompose(Matrix& a, std::vector<std::size_t>& piv) {
   const std::size_t n = a.rows();
   piv.resize(n);
   for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-  sign = 1.0;
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t p = k;
     double mx = std::abs(a(k, k));
@@ -107,7 +24,6 @@ bool lu_decompose(Matrix& a, std::vector<std::size_t>& piv, double& sign) {
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
       std::swap(piv[k], piv[p]);
-      sign = -sign;
     }
     for (std::size_t i = k + 1; i < n; ++i) {
       a(i, k) /= a(k, k);
@@ -136,24 +52,12 @@ std::vector<double> lu_solve(const Matrix& lu,
 
 }  // namespace
 
-std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
-  if (a.rows() != a.cols() || a.rows() != b.size())
-    throw std::invalid_argument("solve: shape mismatch");
-  Matrix lu = a;
-  std::vector<std::size_t> piv;
-  double sign;
-  if (!lu_decompose(lu, piv, sign)) throw std::domain_error("solve: singular");
-  return lu_solve(lu, piv, b);
-}
-
 Matrix inverse(const Matrix& a) {
   if (a.rows() != a.cols()) throw std::invalid_argument("inverse: not square");
   const std::size_t n = a.rows();
   Matrix lu = a;
   std::vector<std::size_t> piv;
-  double sign;
-  if (!lu_decompose(lu, piv, sign))
-    throw std::domain_error("inverse: singular");
+  if (!lu_decompose(lu, piv)) throw std::domain_error("inverse: singular");
   Matrix inv(n, n);
   std::vector<double> e(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
@@ -163,27 +67,6 @@ Matrix inverse(const Matrix& a) {
     for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
   }
   return inv;
-}
-
-double determinant(const Matrix& a) {
-  if (a.rows() != a.cols())
-    throw std::invalid_argument("determinant: not square");
-  Matrix lu = a;
-  std::vector<std::size_t> piv;
-  double sign;
-  if (!lu_decompose(lu, piv, sign)) return 0.0;
-  double det = sign;
-  for (std::size_t i = 0; i < a.rows(); ++i) det *= lu(i, i);
-  return det;
-}
-
-std::pair<double, double> sym2x2_eigenvalues(const Matrix& a) {
-  if (a.rows() != 2 || a.cols() != 2)
-    throw std::invalid_argument("sym2x2_eigenvalues: need 2x2");
-  const double tr = a(0, 0) + a(1, 1);
-  const double det = a(0, 0) * a(1, 1) - a(0, 1) * a(1, 0);
-  const double disc = std::sqrt(std::max(0.0, 0.25 * tr * tr - det));
-  return {0.5 * tr - disc, 0.5 * tr + disc};
 }
 
 }  // namespace vbsrm::math

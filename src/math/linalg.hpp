@@ -1,6 +1,5 @@
-// Small dense linear algebra: just enough for Laplace approximations
-// (Cholesky of 2x2..4x4 Hessians, solves, inverses, determinants) and
-// multivariate-normal manipulation.  Row-major storage.
+// Small dense linear algebra: just enough to invert the 2x2 Hessians of
+// the Laplace approximation and the ML covariance.  Row-major storage.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +14,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix identity(std::size_t n);
-  static Matrix from_rows(std::initializer_list<std::initializer_list<double>> rows);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
@@ -26,31 +22,12 @@ class Matrix {
 
   const std::vector<double>& data() const { return data_; }
 
-  Matrix transpose() const;
-  Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix scaled(double s) const;
-
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<double> data_;
 };
 
-/// Cholesky factor L (lower triangular, A = L L^T) of a symmetric
-/// positive-definite matrix.  Throws std::domain_error if A is not SPD.
-Matrix cholesky(const Matrix& a);
-
-/// Solve A x = b via LU with partial pivoting.  Throws on singular A.
-std::vector<double> solve(const Matrix& a, const std::vector<double>& b);
-
-/// Matrix inverse via LU.  Throws on singular input.
+/// Matrix inverse via LU with partial pivoting.  Throws on singular input.
 Matrix inverse(const Matrix& a);
-
-/// Determinant via LU.
-double determinant(const Matrix& a);
-
-/// Eigenvalues of a symmetric 2x2 matrix, ascending.
-std::pair<double, double> sym2x2_eigenvalues(const Matrix& a);
 
 }  // namespace vbsrm::math

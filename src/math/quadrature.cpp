@@ -37,78 +37,6 @@ GaussLegendre::GaussLegendre(int n) {
   if (n % 2 == 1) nodes_[n / 2] = 0.0;  // exact symmetry for odd rules
 }
 
-double GaussLegendre::integrate(const std::function<double(double)>& f,
-                                double a, double b) const {
-  const double c = 0.5 * (a + b);
-  const double h = 0.5 * (b - a);
-  double s = 0.0;
-  for (int i = 0; i < size(); ++i) s += weights_[i] * f(c + h * nodes_[i]);
-  return s * h;
-}
-
-double GaussLegendre::integrate_composite(
-    const std::function<double(double)>& f, double a, double b,
-    int panels) const {
-  if (panels < 1) throw std::invalid_argument("panels must be >= 1");
-  const double w = (b - a) / panels;
-  double s = 0.0;
-  for (int p = 0; p < panels; ++p) s += integrate(f, a + p * w, a + (p + 1) * w);
-  return s;
-}
-
-namespace {
-
-double simpson(double a, double fa, double b, double fb, double fc) {
-  return (b - a) / 6.0 * (fa + 4.0 * fc + fb);
-}
-
-double adaptive_simpson_rec(const std::function<double(double)>& f, double a,
-                            double fa, double b, double fb, double c,
-                            double fc, double whole, double abs_tol,
-                            double rel_tol, int depth) {
-  const double l = 0.5 * (a + c), r = 0.5 * (c + b);
-  const double fl = f(l), fr = f(r);
-  const double left = simpson(a, fa, c, fc, fl);
-  const double right = simpson(c, fc, b, fb, fr);
-  const double err = left + right - whole;
-  const double tol = std::max(abs_tol, rel_tol * std::abs(left + right));
-  if (depth <= 0 || std::abs(err) <= 15.0 * tol) {
-    return left + right + err / 15.0;
-  }
-  return adaptive_simpson_rec(f, a, fa, c, fc, l, fl, left, 0.5 * abs_tol,
-                              rel_tol, depth - 1) +
-         adaptive_simpson_rec(f, c, fc, b, fb, r, fr, right, 0.5 * abs_tol,
-                              rel_tol, depth - 1);
-}
-
-}  // namespace
-
-double adaptive_simpson(const std::function<double(double)>& f, double a,
-                        double b, double abs_tol, double rel_tol,
-                        int max_depth) {
-  const double c = 0.5 * (a + b);
-  const double fa = f(a), fb = f(b), fc = f(c);
-  const double whole = simpson(a, fa, b, fb, fc);
-  return adaptive_simpson_rec(f, a, fa, b, fb, c, fc, whole, abs_tol, rel_tol,
-                              max_depth);
-}
-
-double integrate_semi_infinite(const std::function<double(double)>& f,
-                               double a, int panels, int order,
-                               double scale) {
-  if (!(scale > 0.0)) throw std::invalid_argument("scale must be > 0");
-  const GaussLegendre gl(order);
-  // x = a + scale * t/(1-t); dx = scale dt/(1-t)^2; t in [0, 1).
-  auto g = [&](double t) {
-    const double om = 1.0 - t;
-    const double x = a + scale * t / om;
-    return f(x) * scale / (om * om);
-  };
-  // Stop slightly short of t=1: the integrand must decay fast enough
-  // that the truncated sliver is negligible (true for exponential tails).
-  return gl.integrate_composite(g, 0.0, 1.0 - 1e-12, panels);
-}
-
 ProductGrid make_product_grid(double ax, double bx, double ay, double by,
                               int panels, int order) {
   const GaussLegendre gl(order);
@@ -128,19 +56,6 @@ ProductGrid make_product_grid(double ax, double bx, double ay, double by,
   fill_axis(ax, bx, g.x, g.wx);
   fill_axis(ay, by, g.y, g.wy);
   return g;
-}
-
-double integrate_2d(const ProductGrid& g,
-                    const std::function<double(double, double)>& f) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < g.x.size(); ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < g.y.size(); ++j) {
-      row += g.wy[j] * f(g.x[i], g.y[j]);
-    }
-    s += g.wx[i] * row;
-  }
-  return s;
 }
 
 }  // namespace vbsrm::math

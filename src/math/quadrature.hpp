@@ -1,10 +1,9 @@
-// Numerical integration: Gauss-Legendre rules (nodes computed at first
-// use by Newton iteration on the Legendre polynomials), composite and
-// adaptive drivers, and a 2-D product-rule integrator used by the NINT
-// posterior baseline.
+// Gauss-Legendre quadrature: n-point rules and the composite 2-D product
+// grid of the NINT posterior baseline.  Callers integrate by applying a
+// rule's nodes and weights themselves, so many functionals can share one
+// set of integrand evaluations.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 namespace vbsrm::math {
@@ -20,37 +19,14 @@ class GaussLegendre {
   const std::vector<double>& nodes() const { return nodes_; }
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Integrate f over [a, b] with a single application of the rule.
-  double integrate(const std::function<double(double)>& f, double a,
-                   double b) const;
-
-  /// Integrate over [a, b] split into `panels` equal panels.
-  double integrate_composite(const std::function<double(double)>& f, double a,
-                             double b, int panels) const;
-
  private:
   std::vector<double> nodes_;
   std::vector<double> weights_;
 };
 
-/// Adaptive Simpson integration with absolute/relative tolerance.
-/// Recursion depth is bounded; the achieved error is typically far below
-/// the requested tolerance for smooth integrands.
-double adaptive_simpson(const std::function<double(double)>& f, double a,
-                        double b, double abs_tol = 1e-10,
-                        double rel_tol = 1e-10, int max_depth = 50);
-
-/// Integrate f over [a, inf) by the substitution x = a + scale*t/(1-t),
-/// t in [0,1), using composite Gauss-Legendre.  Suitable for integrands
-/// with (sub)exponential decay; `scale` should match the integrand's
-/// characteristic width (e.g. the mean of a density being integrated).
-double integrate_semi_infinite(const std::function<double(double)>& f,
-                               double a, int panels = 32, int order = 20,
-                               double scale = 1.0);
-
 /// Nodes/weights of a tensor-product 2-D grid on [ax,bx] x [ay,by].
 /// Used by the NINT estimator, which needs the raw grid to evaluate many
-/// functionals (moments, marginals, reliability) against one set of
+/// functionals (moments, quantiles, reliability) against one set of
 /// posterior evaluations.
 struct ProductGrid {
   std::vector<double> x, wx;  // abscissae and weights along x
@@ -61,9 +37,5 @@ struct ProductGrid {
 /// `order`-point rule along each axis (so panels*order points per axis).
 ProductGrid make_product_grid(double ax, double bx, double ay, double by,
                               int panels, int order);
-
-/// Integrate f(x, y) over the grid's box.
-double integrate_2d(const ProductGrid& g,
-                    const std::function<double(double, double)>& f);
 
 }  // namespace vbsrm::math

@@ -128,22 +128,4 @@ RootResult fixed_point(const std::function<double(double)>& g, double x0,
   return {x, max_iter, false};
 }
 
-std::optional<std::pair<double, double>> expand_bracket(
-    const std::function<double(double)>& f, double a, double b,
-    int max_expansions, double factor) {
-  if (a >= b) return std::nullopt;
-  double fa = f(a), fb = f(b);
-  for (int i = 0; i < max_expansions; ++i) {
-    if (fa * fb <= 0.0) return std::make_pair(a, b);
-    if (std::abs(fa) < std::abs(fb)) {
-      a -= factor * (b - a);
-      fa = f(a);
-    } else {
-      b += factor * (b - a);
-      fb = f(b);
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace vbsrm::math

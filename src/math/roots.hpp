@@ -2,7 +2,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 namespace vbsrm::math {
 
@@ -34,11 +33,5 @@ RootResult newton(const std::function<double(double)>& f,
 RootResult fixed_point(const std::function<double(double)>& g, double x0,
                        double rel_tol = 1e-13, int max_iter = 500,
                        double damping = 1.0);
-
-/// Expand a bracket geometrically from [a, b] until f changes sign or
-/// the expansion limit is hit.  Returns the bracket if found.
-std::optional<std::pair<double, double>> expand_bracket(
-    const std::function<double(double)>& f, double a, double b,
-    int max_expansions = 60, double factor = 1.6);
 
 }  // namespace vbsrm::math

@@ -126,25 +126,6 @@ double digamma(double x) {
   return result;
 }
 
-double trigamma(double x) {
-  if (!(x > 0.0)) return kNan;
-  double result = 0.0;
-  while (x < 15.0) {
-    result += 1.0 / (x * x);
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  // psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} / x^{2n+1}
-  result += inv * (1.0 +
-                   inv * (0.5 +
-                          inv * (1.0 / 6.0 -
-                                 inv2 * (1.0 / 30.0 -
-                                         inv2 * (1.0 / 42.0 -
-                                                 inv2 / 30.0)))));
-  return result;
-}
-
 double log_gamma_p(double a, double x) {
   if (!(a > 0.0) || x < 0.0) return kNan;
   if (x == 0.0) return -kInf;

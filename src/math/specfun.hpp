@@ -1,7 +1,7 @@
 // Special functions used throughout vbsrm.
 //
 // Everything here is implemented from first principles (no Boost):
-// log-gamma (Lanczos), digamma/trigamma (recurrence + asymptotic series),
+// log-gamma (Lanczos), digamma (recurrence + asymptotic series),
 // the regularized incomplete gamma functions P(a,x)/Q(a,x) (power series
 // and Lentz continued fraction, with log-scale variants for extreme
 // tails), their inverse in x, and the standard normal cdf/quantile.
@@ -24,9 +24,6 @@ double log_gamma(double z);
 
 /// Digamma function psi(x) = d/dx log Gamma(x), x > 0.
 double digamma(double x);
-
-/// Trigamma function psi'(x), x > 0.
-double trigamma(double x);
 
 /// Regularized lower incomplete gamma P(a, x) = gamma(a,x)/Gamma(a).
 /// Requires a > 0, x >= 0. P(a,0) = 0, P(a,inf) = 1.

@@ -64,10 +64,4 @@ double aic(double max_log_likelihood, int params) {
   return 2.0 * params - 2.0 * max_log_likelihood;
 }
 
-double bic(double max_log_likelihood, std::size_t n_observations,
-           int params) {
-  return params * std::log(static_cast<double>(n_observations)) -
-         2.0 * max_log_likelihood;
-}
-
 }  // namespace vbsrm::nhpp

@@ -23,10 +23,8 @@ double log_likelihood_at(double alpha0, double omega, double beta,
 double log_likelihood_at(double alpha0, double omega, double beta,
                          const data::GroupedData& d);
 
-/// Akaike / Bayesian information criteria for a fitted model (2 free
-/// parameters: omega and beta).
+/// Akaike information criterion for a fitted model (2 free parameters:
+/// omega and beta).
 double aic(double max_log_likelihood, int params = 2);
-double bic(double max_log_likelihood, std::size_t n_observations,
-           int params = 2);
 
 }  // namespace vbsrm::nhpp

@@ -1,40 +1,11 @@
 #include "nhpp/prediction.hpp"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "math/roots.hpp"
 
 namespace vbsrm::nhpp {
-
-double reliability(const GammaTypeModel& model, double t, double u) {
-  return model.reliability(t, u);
-}
-
-double expected_failures(const GammaTypeModel& model, double t, double u) {
-  if (u == 0.0) return 0.0;
-  return model.omega() * model.law().interval_mass(t, t + u, model.beta());
-}
-
-double next_failure_cdf(const GammaTypeModel& model, double t, double u) {
-  return 1.0 - model.reliability(t, u);
-}
-
-double next_failure_quantile(const GammaTypeModel& model, double t, double p) {
-  if (!(p > 0.0) || !(p < 1.0)) {
-    throw std::invalid_argument("next_failure_quantile: p in (0,1)");
-  }
-  // The limiting failure probability is 1 - exp(-residual_faults(t)).
-  const double p_ever = 1.0 - std::exp(-model.residual_faults(t));
-  if (p >= p_ever) return std::numeric_limits<double>::infinity();
-  auto f = [&](double u) { return next_failure_cdf(model, t, u) - p; };
-  double hi = std::max(1.0, t);
-  int guard = 0;
-  while (f(hi) < 0.0 && guard++ < 200) hi *= 2.0;
-  const auto r = math::brent(f, 0.0, hi, 1e-12, 300);
-  return r.x;
-}
 
 double test_time_for_reliability(const GammaTypeModel& model, double t,
                                  double mission, double target,

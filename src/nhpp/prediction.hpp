@@ -1,26 +1,10 @@
-// Prediction utilities on a fitted gamma-type NHPP: reliability over a
-// future window, expected remaining faults, time to reach a reliability
-// objective, and the distribution of the time to next failure.
+// Prediction on a fitted gamma-type NHPP: the additional test time needed
+// to reach a reliability objective.
 #pragma once
 
 #include "nhpp/model.hpp"
 
 namespace vbsrm::nhpp {
-
-/// P(no failure in (t, t+u]) — convenience forward to the model.
-double reliability(const GammaTypeModel& model, double t, double u);
-
-/// Expected number of failures in (t, t+u].
-double expected_failures(const GammaTypeModel& model, double t, double u);
-
-/// CDF of the time X from t until the next failure:
-/// P(X <= u) = 1 - R(t+u | t).
-double next_failure_cdf(const GammaTypeModel& model, double t, double u);
-
-/// Median (or any quantile) of the time to next failure, +inf when the
-/// process can die out before reaching the quantile (finite-failures
-/// NHPPs have P(no more failures) > 0).
-double next_failure_quantile(const GammaTypeModel& model, double t, double p);
 
 /// Smallest u such that R(t+u | t) is still >= target when the mission
 /// starts after waiting w more test time: finds the additional test time

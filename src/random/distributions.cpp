@@ -95,12 +95,6 @@ std::uint64_t sample_poisson(Rng& rng, double mean) {
   }
 }
 
-double sample_beta(Rng& rng, double a, double b) {
-  const double x = sample_gamma(rng, a, 1.0);
-  const double y = sample_gamma(rng, b, 1.0);
-  return x / (x + y);
-}
-
 namespace {
 
 // Invert Q(a, x) = q on x in (x_lo, inf): used for deep upper tails

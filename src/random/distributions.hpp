@@ -1,7 +1,7 @@
 // Non-uniform random variate generation built on Rng: exponential,
 // normal (Marsaglia polar), gamma (Marsaglia-Tsang with the shape<1
 // boost), Poisson (inversion for small mean, PTRS-style rejection for
-// large), beta, and truncated gamma (the workhorse of the grouped-data
+// large) and truncated gamma (the workhorse of the grouped-data
 // Gibbs sampler).  All samplers take the Rng by reference and are
 // deterministic given the seed.
 #pragma once
@@ -27,9 +27,6 @@ double sample_gamma(Rng& rng, double shape, double rate);
 
 /// Poisson with mean >= 0.
 std::uint64_t sample_poisson(Rng& rng, double mean);
-
-/// Beta(a, b), a, b > 0.
-double sample_beta(Rng& rng, double a, double b);
 
 /// Gamma(shape, rate) conditioned on lo < X <= hi.  Either bound may be
 /// 0 / +infinity.  Uses inverse-cdf sampling through the regularized

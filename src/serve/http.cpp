@@ -151,7 +151,7 @@ ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
   }
   if (content_length > max_body_bytes) {
     error = "request body too large";
-    return ParseStatus::Bad;
+    return ParseStatus::TooLarge;
   }
   if (buf.size() - body_start < content_length) return ParseStatus::Incomplete;
   out.body = std::string(buf.substr(body_start, content_length));
@@ -297,9 +297,10 @@ void HttpServer::serve_connection(std::shared_ptr<Shared> shared, int fd) {
       st = parse_http_request(buf, hreq, consumed, perr, max_body);
     }
     if (!open) break;
-    if (st == ParseStatus::Bad) {
+    if (st != ParseStatus::Ok) {
+      const int status = st == ParseStatus::TooLarge ? 413 : 400;
       const std::string wire =
-          serialize_response(error_response(400, perr), false);
+          serialize_response(error_response(status, perr), false);
       (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
       break;
     }

@@ -30,13 +30,16 @@ enum class ParseStatus {
   Ok,          // one complete request parsed; `consumed` bytes eaten
   Incomplete,  // need more bytes
   Bad,         // malformed; `error` says why
+  TooLarge,    // Content-Length over the body limit; `error` says so
 };
 
 /// Parse one request from the front of `buf`.  Accepts both CRLF and
 /// bare-LF line endings; requires Content-Length for bodies (no chunked
 /// encoding), and a repeated Content-Length must repeat the same value.
-/// Heads over 64 KiB and bodies over `max_body_bytes` are Bad, not
-/// Incomplete, so a hostile peer cannot make the reader buffer forever.
+/// Heads over 64 KiB are Bad and a Content-Length over `max_body_bytes`
+/// is TooLarge as soon as the head is in, not Incomplete, so a hostile
+/// peer cannot make the reader buffer forever.  The server answers Bad
+/// with 400 and TooLarge with 413, then closes the connection.
 ParseStatus parse_http_request(std::string_view buf, HttpRequest& out,
                                std::size_t& consumed, std::string& error,
                                std::size_t max_body_bytes = 8u << 20);

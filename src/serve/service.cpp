@@ -22,6 +22,10 @@ using Clock = std::chrono::steady_clock;
 /// budget means the same, and the cap keeps now + budget inside
 /// Clock::time_point's range.
 constexpr double kMaxBudgetMs = 1e12;
+/// Most Gibbs iterations one request may ask for over all its chains,
+/// chains x (burn_in + thin x samples): 47 chains at the paper's
+/// 10000 + 10 x 20000.
+constexpr std::uint64_t kMaxMcmcIterations = 10'000'000;
 
 /// Request decoding failure; handle() maps it to 400 Bad Request.
 struct BadRequest : std::invalid_argument {
@@ -198,6 +202,15 @@ ParsedCommon parse_common(const json::Value& doc) {
     out.chains = static_cast<int>(chains);
     if (out.mcmc.thin == 0 || out.mcmc.samples == 0 || out.chains < 1) {
       throw BadRequest("mcmc.thin, mcmc.samples, mcmc.chains must be >= 1");
+    }
+    // Exact and overflow-free: thin x samples is only formed once it is
+    // known to fit under the per-chain share of the limit.
+    const std::uint64_t per_chain = kMaxMcmcIterations / chains;
+    if (out.mcmc.thin > per_chain / out.mcmc.samples ||
+        out.mcmc.burn_in > per_chain - out.mcmc.thin * out.mcmc.samples) {
+      throw BadRequest(
+          "mcmc.chains x (mcmc.burn_in + mcmc.thin x mcmc.samples) exceeds " +
+          std::to_string(kMaxMcmcIterations) + " iterations");
     }
   }
   return out;
@@ -483,13 +496,17 @@ Response Service::submit_and_wait(
   job.abandoned = std::make_shared<std::atomic<bool>>(false);
   std::future<Response> fut = job.promise.get_future();
   const std::shared_ptr<std::atomic<bool>> abandoned = job.abandoned;
+  bool queue_full = false;
   {
     const math::MutexLock lock(queue_mutex_);
     if (stopping_) return unavailable("service shutting down");
-    if (queue_.size() >= opt_.queue_capacity) {
-      return unavailable("estimation queue full");
-    }
-    queue_.push_back(std::move(job));
+    queue_full = queue_.size() >= opt_.queue_capacity;
+    if (!queue_full) queue_.push_back(std::move(job));
+  }
+  if (queue_full) {
+    const math::MutexLock lock(metrics_mutex_);
+    ++counters_.queue_full_503;
+    return unavailable("estimation queue full");
   }
   queue_cv_.notify_one();
 
@@ -768,7 +785,6 @@ void Service::record(const Request& req, const Response& resp,
   if (resp.status >= 200 && resp.status < 300) ++counters_.responses_2xx;
   else if (resp.status >= 400 && resp.status < 500) ++counters_.responses_4xx;
   else if (resp.status >= 500) ++counters_.responses_5xx;
-  if (resp.status == 503) ++counters_.queue_full_503;
   if (resp.status == 504) ++counters_.deadline_504;
 
   // Clamp into the histogram's domain so no request is ever dropped.

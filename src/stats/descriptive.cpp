@@ -45,31 +45,6 @@ double skewness(std::span<const double> x) {
   return central_moment(x, 3) / std::pow(m2, 1.5);
 }
 
-double weighted_mean(std::span<const double> x, std::span<const double> w) {
-  if (x.size() != w.size() || x.empty()) {
-    throw std::invalid_argument("weighted_mean: size mismatch/empty");
-  }
-  double sw = 0.0, s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (w[i] < 0.0) throw std::invalid_argument("weighted_mean: w < 0");
-    sw += w[i];
-    s += w[i] * x[i];
-  }
-  if (sw <= 0.0) throw std::invalid_argument("weighted_mean: zero weight");
-  return s / sw;
-}
-
-double weighted_variance(std::span<const double> x,
-                         std::span<const double> w) {
-  const double m = weighted_mean(x, w);
-  double sw = 0.0, s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sw += w[i];
-    s += w[i] * (x[i] - m) * (x[i] - m);
-  }
-  return s / sw;
-}
-
 Summary summarize(std::span<const double> x) {
   if (x.empty()) throw std::invalid_argument("summarize: empty sample");
   Summary s;

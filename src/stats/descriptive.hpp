@@ -1,5 +1,4 @@
-// Descriptive statistics over samples and over weighted discrete
-// distributions (the VB mixture posterior reports weighted moments).
+// Descriptive statistics over samples.
 #pragma once
 
 #include <span>
@@ -20,12 +19,6 @@ double skewness(std::span<const double> x);
 
 /// k-th central moment (biased, 1/n normalization).
 double central_moment(std::span<const double> x, int k);
-
-/// Weighted mean with nonnegative weights (need not be normalized).
-double weighted_mean(std::span<const double> x, std::span<const double> w);
-
-/// Weighted population variance around the weighted mean.
-double weighted_variance(std::span<const double> x, std::span<const double> w);
 
 struct Summary {
   double mean = 0.0;

@@ -48,44 +48,4 @@ double effective_sample_size(std::span<const double> x) {
   return static_cast<double>(n) / tau;
 }
 
-double geweke_z(std::span<const double> x, double first_frac,
-                double last_frac) {
-  const std::size_t n = x.size();
-  if (n < 20) throw std::invalid_argument("geweke_z: chain too short");
-  if (first_frac <= 0.0 || last_frac <= 0.0 ||
-      first_frac + last_frac >= 1.0) {
-    throw std::invalid_argument("geweke_z: bad fractions");
-  }
-  const std::size_t na = static_cast<std::size_t>(first_frac * n);
-  const std::size_t nb = static_cast<std::size_t>(last_frac * n);
-  auto a = x.subspan(0, na);
-  auto b = x.subspan(n - nb, nb);
-  const double ma = mean(a), mb = mean(b);
-  // Variance of the mean estimated with ESS to account for
-  // autocorrelation within each window.
-  const double va = variance(a) / effective_sample_size(a);
-  const double vb = variance(b) / effective_sample_size(b);
-  return (ma - mb) / std::sqrt(va + vb);
-}
-
-double split_rhat(std::span<const double> x, int splits) {
-  if (splits < 2) throw std::invalid_argument("split_rhat: splits >= 2");
-  const std::size_t n = x.size();
-  const std::size_t per = n / static_cast<std::size_t>(splits);
-  if (per < 2) throw std::invalid_argument("split_rhat: chain too short");
-  std::vector<double> chain_means, chain_vars;
-  for (int c = 0; c < splits; ++c) {
-    auto seg = x.subspan(static_cast<std::size_t>(c) * per, per);
-    chain_means.push_back(mean(seg));
-    chain_vars.push_back(variance(seg));
-  }
-  const double w = mean(chain_vars);
-  const double b = variance(chain_means) * static_cast<double>(per);
-  const double var_plus =
-      (static_cast<double>(per) - 1.0) / static_cast<double>(per) * w +
-      b / static_cast<double>(per);
-  if (w <= 0.0) return 1.0;
-  return std::sqrt(var_plus / w);
-}
-
 }  // namespace vbsrm::stats

@@ -1,5 +1,4 @@
-// MCMC convergence diagnostics: autocorrelation, effective sample size,
-// Geweke's z-score, and the (split-chain) Gelman-Rubin statistic.
+// MCMC chain diagnostics: autocorrelation and effective sample size.
 #pragma once
 
 #include <span>
@@ -13,16 +12,5 @@ std::vector<double> autocorrelation(std::span<const double> x, int max_lag);
 /// Effective sample size via Geyer's initial positive sequence of
 /// summed autocorrelation pairs.
 double effective_sample_size(std::span<const double> x);
-
-/// Geweke convergence z-score comparing the mean of the first
-/// `first_frac` of the chain against the last `last_frac` (spectral
-/// variance approximated by batch variance).
-double geweke_z(std::span<const double> x, double first_frac = 0.1,
-                double last_frac = 0.5);
-
-/// Split-chain potential scale reduction factor (R-hat).  The chain is
-/// split into `splits` equal pieces which are treated as parallel
-/// chains; values near 1 indicate convergence.
-double split_rhat(std::span<const double> x, int splits = 4);
 
 }  // namespace vbsrm::stats

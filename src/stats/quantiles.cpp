@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace vbsrm::stats {
 
-namespace {
-
-std::vector<double> sorted_copy(std::span<const double> x) {
+double order_statistic_quantile(std::span<const double> x, double p) {
+  if (x.empty()) throw std::invalid_argument("quantile: empty sample");
+  if (!(p > 0.0) || p > 1.0) throw std::invalid_argument("quantile: bad p");
   std::vector<double> s(x.begin(), x.end());
   std::sort(s.begin(), s.end());
-  return s;
-}
-
-double order_statistic_from_sorted(const std::vector<double>& s, double p) {
   const std::size_t n = s.size();
   // The 1e-9 guard keeps p*n values that are integers up to floating-
   // point noise (e.g. 0.5*(1-0.98)*1000) from spilling into the next
@@ -24,53 +21,6 @@ double order_statistic_from_sorted(const std::vector<double>& s, double p) {
   if (k < 1) k = 1;
   if (k > n) k = n;
   return s[k - 1];
-}
-
-double type7_from_sorted(const std::vector<double>& s, double p) {
-  const std::size_t n = s.size();
-  if (n == 1) return s[0];
-  const double h = (static_cast<double>(n) - 1.0) * p;
-  const std::size_t lo = static_cast<std::size_t>(std::floor(h));
-  const std::size_t hi = std::min(lo + 1, n - 1);
-  const double frac = h - static_cast<double>(lo);
-  return s[lo] + frac * (s[hi] - s[lo]);
-}
-
-}  // namespace
-
-double order_statistic_quantile(std::span<const double> x, double p) {
-  if (x.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (!(p > 0.0) || p > 1.0) throw std::invalid_argument("quantile: bad p");
-  return order_statistic_from_sorted(sorted_copy(x), p);
-}
-
-double quantile_type7(std::span<const double> x, double p) {
-  if (x.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("quantile: bad p");
-  return type7_from_sorted(sorted_copy(x), p);
-}
-
-double ecdf(std::span<const double> x, double t) {
-  if (x.empty()) throw std::invalid_argument("ecdf: empty sample");
-  std::size_t count = 0;
-  for (double v : x) {
-    if (v <= t) ++count;
-  }
-  return static_cast<double>(count) / static_cast<double>(x.size());
-}
-
-std::vector<double> quantiles(std::span<const double> x,
-                              std::span<const double> ps,
-                              bool order_statistic) {
-  if (x.empty()) throw std::invalid_argument("quantiles: empty sample");
-  const auto s = sorted_copy(x);
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (double p : ps) {
-    out.push_back(order_statistic ? order_statistic_from_sorted(s, p)
-                                  : type7_from_sorted(s, p));
-  }
-  return out;
 }
 
 }  // namespace vbsrm::stats

@@ -1,27 +1,14 @@
-// Empirical quantiles and distribution-function utilities.  The MCMC
-// estimators derive credible intervals from order statistics exactly the
-// way the paper does (e.g. the 500th smallest of 20000 samples for the
-// 2.5% point).
+// Empirical quantiles.  The MCMC estimators derive credible intervals
+// from order statistics exactly the way the paper does (e.g. the 500th
+// smallest of 20000 samples for the 2.5% point).
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace vbsrm::stats {
 
 /// Order-statistic quantile: the ceil(p*n)-th smallest sample (1-based),
 /// matching the paper's MCMC interval rule.  p in (0, 1].
 double order_statistic_quantile(std::span<const double> x, double p);
-
-/// Interpolating quantile (R type-7).  p in [0, 1].
-double quantile_type7(std::span<const double> x, double p);
-
-/// Empirical CDF value at t: fraction of samples <= t.
-double ecdf(std::span<const double> x, double t);
-
-/// All requested quantiles in one sort.
-std::vector<double> quantiles(std::span<const double> x,
-                              std::span<const double> ps,
-                              bool order_statistic = true);
 
 }  // namespace vbsrm::stats

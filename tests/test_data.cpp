@@ -121,26 +121,6 @@ TEST(Simulate, GroupedSumsMatchFullSimulation) {
   EXPECT_DOUBLE_EQ(g.observation_end(), 4000.0);
 }
 
-TEST(Simulate, ThinningMatchesMeanValue) {
-  // Constant intensity 0.02 on (0, 1000]: expect ~20 events.
-  std::vector<double> counts;
-  for (std::uint64_t s = 0; s < 300; ++s) {
-    r::Rng rng(50 + s);
-    counts.push_back(static_cast<double>(
-        d::simulate_by_thinning(rng, [](double) { return 0.02; }, 0.02,
-                                1000.0)
-            .count()));
-  }
-  EXPECT_NEAR(vbsrm::stats::mean(counts), 20.0, 1.5);
-}
-
-TEST(Simulate, ThinningRejectsUnderstatedBound) {
-  r::Rng rng(9);
-  EXPECT_THROW(d::simulate_by_thinning(rng, [](double) { return 2.0; }, 1.0,
-                                       100.0),
-               std::invalid_argument);
-}
-
 TEST(Simulate, ExpectedOrderStatisticsHitTargets) {
   auto mv = [](double t) { return 10.0 * (1.0 - std::exp(-0.01 * t)); };
   const auto times = d::expected_order_statistics(mv, 1000.0, 9);
@@ -187,15 +167,6 @@ TEST(Datasets, NtdsMatchesPublishedTotals) {
   EXPECT_EQ(ntds.count(), 26u);
   EXPECT_DOUBLE_EQ(ntds.times().back(), 250.0);  // published total: day 250
   EXPECT_DOUBLE_EQ(ntds.times().front(), 9.0);
-}
-
-TEST(Datasets, SyntheticReleaseTestSeeded) {
-  const auto a = d::datasets::synthetic_release_test(7);
-  const auto b = d::datasets::synthetic_release_test(7);
-  const auto c = d::datasets::synthetic_release_test(8);
-  EXPECT_EQ(a.times(), b.times());
-  EXPECT_NE(a.times(), c.times());
-  EXPECT_GT(a.count(), 50u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "bayes/gibbs.hpp"
 #include "bayes/multichain.hpp"
@@ -150,6 +152,32 @@ TEST(GibbsGrouped, RejectsEmptyData) {
                std::invalid_argument);
 }
 
+TEST(GibbsGrouped, RejectsIterationCountThatWraps) {
+  // burn_in + thin * samples = 2^53 * 2^11 = 2^64 wraps to zero
+  // iterations; the samplers must say so instead of running nothing.
+  b::McmcOptions opt;
+  opt.burn_in = 0;
+  opt.thin = std::size_t{1} << 53;
+  opt.samples = 2048;
+  const auto expect_overflow = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_overflow([&] {
+    b::gibbs_grouped(1.0, d::datasets::system17_grouped(), info_priors_dg(),
+                     opt);
+  });
+  expect_overflow([&] {
+    b::gibbs_failure_times(1.0, d::datasets::system17_failure_times(),
+                           info_priors_dt(), opt);
+  });
+}
+
 TEST(MultiChain, RhatNearOneForWellMixedChains) {
   const auto dt = d::datasets::system17_failure_times();
   b::McmcOptions opt;
@@ -157,8 +185,10 @@ TEST(MultiChain, RhatNearOneForWellMixedChains) {
   opt.thin = 2;
   opt.samples = 4000;
   opt.seed = 2;
-  const auto mc =
-      b::gibbs_failure_times_chains(4, 1.0, dt, info_priors_dt(), opt);
+  const auto mc = b::run_chains(
+      4, 1.0, dt.observation_end(), opt, [&](const b::McmcOptions& o) {
+        return b::gibbs_failure_times(1.0, dt, info_priors_dt(), o);
+      });
   EXPECT_EQ(mc.chains.size(), 4u);
   EXPECT_LT(mc.rhat_omega, 1.01);
   EXPECT_LT(mc.rhat_beta, 1.01);
@@ -185,9 +215,12 @@ TEST(MultiChain, ValidatesInput) {
   EXPECT_THROW(b::cross_chain_rhat({{1.0, 2.0}, {1.0}}),
                std::invalid_argument);
   const auto dt = d::datasets::system17_failure_times();
-  EXPECT_THROW(
-      b::gibbs_failure_times_chains(1, 1.0, dt, b::PriorPair::flat()),
-      std::invalid_argument);
+  EXPECT_THROW(b::run_chains(1, 1.0, dt.observation_end(), {},
+                            [&](const b::McmcOptions& o) {
+                              return b::gibbs_failure_times(
+                                  1.0, dt, b::PriorPair::flat(), o);
+                            }),
+               std::invalid_argument);
 }
 
 TEST(ChainReliability, BoundsOrderedAndInUnitInterval) {

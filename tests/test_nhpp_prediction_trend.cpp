@@ -14,40 +14,10 @@ namespace d = vbsrm::data;
 
 namespace {
 
-TEST(Prediction, ExpectedFailuresMatchesMeanValueIncrement) {
-  const auto go = n::goel_okumoto(44.0, 1.26e-5);
-  const double t = 160000.0, u = 10000.0;
-  EXPECT_NEAR(n::expected_failures(go, t, u),
-              go.mean_value(t + u) - go.mean_value(t), 1e-10);
-  EXPECT_DOUBLE_EQ(n::expected_failures(go, t, 0.0), 0.0);
-}
-
-TEST(Prediction, NextFailureCdfComplementsReliability) {
-  const auto go = n::goel_okumoto(44.0, 1.26e-5);
-  EXPECT_NEAR(n::next_failure_cdf(go, 1e5, 5e3) +
-                  n::reliability(go, 1e5, 5e3),
-              1.0, 1e-12);
-}
-
-TEST(Prediction, NextFailureQuantileRoundTrips) {
-  const auto go = n::goel_okumoto(44.0, 1.26e-5);
-  const double t = 100000.0;
-  const double u = n::next_failure_quantile(go, t, 0.3);
-  ASSERT_TRUE(std::isfinite(u));
-  EXPECT_NEAR(n::next_failure_cdf(go, t, u), 0.3, 1e-8);
-}
-
-TEST(Prediction, NextFailureQuantileInfiniteWhenProcessDiesOut) {
-  // Tiny residual-fault mass: high quantiles unreachable.
-  const auto go = n::goel_okumoto(5.0, 1.0);
-  const double t = 20.0;  // residual ~ 5 e^{-20}: P(ever) ~ 1e-8
-  EXPECT_TRUE(std::isinf(n::next_failure_quantile(go, t, 0.5)));
-}
-
 TEST(Prediction, TestTimeForReliabilityMonotone) {
   const auto go = n::goel_okumoto(44.0, 1.26e-5);
   const double t = 160000.0, mission = 10000.0;
-  const double r_now = n::reliability(go, t, mission);
+  const double r_now = go.reliability(t, mission);
   // A target below current reliability needs no extra testing.
   EXPECT_DOUBLE_EQ(
       n::test_time_for_reliability(go, t, mission, 0.9 * r_now, 1e7), 0.0);

@@ -122,19 +122,22 @@ TEST(Nint, IntervalBracketsAreOrdered) {
 TEST(Nint, MarginalsIntegrateToOne) {
   const auto dt = d::datasets::system17_failure_times();
   b::LogPosterior post(1.0, dt, info_priors_dt());
-  b::NintEstimator nint(post, {15.0, 110.0, 2e-6, 3e-5});
-  // Marginal density values times grid weights must sum to ~1; recover
-  // the weights from consecutive midpoint gaps is fragile, so instead
-  // check the quantile function is the inverse of the implied cdf.
-  const double q25 = nint.quantile_omega(0.25);
-  const double q75 = nint.quantile_omega(0.75);
-  EXPECT_LT(q25, q75);
-  const auto mo = nint.marginal_omega();
-  // Density must be nonnegative and unimodal-ish around the mean.
-  for (const auto& [x, f] : mo) {
-    EXPECT_GE(f, 0.0);
-    (void)x;
+  const b::Box box{15.0, 110.0, 2e-6, 3e-5};
+  b::NintEstimator nint(post, box);
+  // The normalized marginals are proper distributions on the box: their
+  // quantile functions rise monotonically and stay inside it.
+  double prev_omega = box.omega_lo, prev_beta = box.beta_lo;
+  for (const double p : {0.001, 0.25, 0.5, 0.75, 0.999}) {
+    const double qo = nint.quantile_omega(p);
+    const double qb = nint.quantile_beta(p);
+    EXPECT_GE(qo, prev_omega) << p;
+    EXPECT_GE(qb, prev_beta) << p;
+    prev_omega = qo;
+    prev_beta = qb;
   }
+  EXPECT_LE(prev_omega, box.omega_hi);
+  EXPECT_LE(prev_beta, box.beta_hi);
+  EXPECT_LT(nint.quantile_omega(0.25), nint.quantile_omega(0.75));
 }
 
 TEST(Nint, JointDensityPeaksNearPosteriorMode) {

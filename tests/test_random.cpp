@@ -158,14 +158,6 @@ TEST(Poisson, ZeroMeanIsZero) {
   EXPECT_THROW(r::sample_poisson(g, -1.0), std::invalid_argument);
 }
 
-TEST(Beta, MomentsMatch) {
-  r::Rng g(401);
-  std::vector<double> x;
-  for (int i = 0; i < 100000; ++i) x.push_back(r::sample_beta(g, 2.0, 5.0));
-  EXPECT_NEAR(s::mean(x), 2.0 / 7.0, 0.005);
-  EXPECT_NEAR(s::variance(x), 2.0 * 5.0 / (49.0 * 8.0), 0.002);
-}
-
 TEST(TruncatedGamma, RespectsBoundsInterval) {
   r::Rng g(501);
   for (int i = 0; i < 20000; ++i) {

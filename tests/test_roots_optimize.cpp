@@ -88,18 +88,6 @@ TEST(FixedPoint, RejectsBadDamping) {
                std::invalid_argument);
 }
 
-TEST(ExpandBracket, GrowsUntilSignChange) {
-  auto f = [](double x) { return x - 100.0; };
-  const auto b = m::expand_bracket(f, 0.0, 1.0);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_LT(f(b->first) * f(b->second), 0.0);
-}
-
-TEST(ExpandBracket, GivesUpWhenNoRoot) {
-  auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_FALSE(m::expand_bracket(f, -1.0, 1.0, 10).has_value());
-}
-
 TEST(NelderMead, MinimizesRosenbrock) {
   auto rosen = [](const std::vector<double>& p) {
     const double a = 1.0 - p[0];

@@ -1,6 +1,6 @@
 // The HTTP wire layer: parse_http_request framing and rejection rules,
 // serialize_response framing, and a loopback HttpServer checking how
-// the X-Deadline-Ms header is read.
+// the X-Deadline-Ms header is read and which status parse errors get.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -121,7 +121,7 @@ TEST(HttpParse, HeadOverSixtyFourKibIsBad) {
 
 TEST(HttpParse, BodyOverTheLimitIsBadBeforeItArrives) {
   const Parsed p = parse("POST / HTTP/1.1\r\nContent-Length: 101\r\n\r\n", 100);
-  EXPECT_EQ(p.status, serve::ParseStatus::Bad);
+  EXPECT_EQ(p.status, serve::ParseStatus::TooLarge);
   EXPECT_EQ(p.error, "request body too large");
   const Parsed at_limit =
       parse("POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n" +
@@ -300,6 +300,18 @@ TEST(HttpServerLoopback, ParseErrorsUseTheServiceErrorDocument) {
   EXPECT_EQ(status_of(reply), 400) << reply;
   EXPECT_EQ(body_of(reply),
             serve::error_response(400, "conflicting Content-Length").body);
+}
+
+TEST(HttpServerLoopback, OversizedBodyIsA413WithoutReadingIt) {
+  const LoopbackServer server;
+  // Only the head is sent: the reply must not wait for the body.
+  const std::string reply = server.roundtrip(
+      "POST /v1/estimate HTTP/1.1\r\nContent-Length: " +
+      std::to_string(serve::ServiceOptions{}.max_body_bytes + 1) +
+      "\r\n\r\n");
+  EXPECT_EQ(status_of(reply), 413) << reply;
+  EXPECT_EQ(body_of(reply),
+            serve::error_response(413, "request body too large").body);
 }
 
 }  // namespace

@@ -294,8 +294,11 @@ TEST(ServeService, QueueFullAnswers503WithRetryAfter) {
     clients.reserve(kClients);
     for (int i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
-        // Distinct datasets so no two requests share a cache key.
-        const std::string times = "[" + std::to_string(i + 1) + "]";
+        // Distinct datasets so no two requests share a cache key.  (Built
+        // by appending: GCC 12's -Wrestrict misfires on "[" + string at -O3.)
+        std::string times = "[";
+        times += std::to_string(i + 1);
+        times += ']';
         responses[static_cast<std::size_t>(i)] =
             svc.handle(post("/v1/estimate", estimate_body("slowtest", times)));
       });
@@ -371,6 +374,19 @@ TEST(ServeService, ChainCountAboveIntMaxIs400) {
   }
 }
 
+TEST(ServeService, McmcIterationCountThatWrapsIs400) {
+  // burn_in + thin * samples = 2^53 * 2^11 wraps to 0 in 64 bits; the
+  // request must be refused up front, not run as an empty chain.
+  serve::Service svc(small_options());
+  const std::string body =
+      R"({"method":"mcmc","data":{"type":"failure_times",)"
+      R"("times":[5,12,25],"observation_end":100},)"
+      R"("mcmc":{"burn_in":0,"thin":9007199254740992,"samples":2048}})";
+  const serve::Response r = svc.handle(post("/v1/estimate", body));
+  EXPECT_EQ(r.status, 400) << r.body;
+  EXPECT_NE(r.body.find("mcmc"), std::string::npos) << r.body;
+}
+
 TEST(ServeService, ShutdownDrainsAndRejectsNewWork) {
   serve::Service svc(small_options());
   svc.shutdown();
@@ -378,6 +394,8 @@ TEST(ServeService, ShutdownDrainsAndRejectsNewWork) {
       svc.handle(post("/v1/estimate", estimate_body("vb2")));
   EXPECT_EQ(r.status, 503);
   ASSERT_NE(header(r, "Retry-After"), nullptr);
+  // A shutdown rejection is not a queue-full one.
+  EXPECT_EQ(svc.metrics_snapshot().queue_full_503, 0u);
   // Idempotent.
   svc.shutdown();
 }

@@ -71,21 +71,6 @@ TEST(Digamma, IsDerivativeOfLogGamma) {
   }
 }
 
-TEST(Trigamma, MatchesKnownValues) {
-  // psi'(1) = pi^2/6.
-  EXPECT_NEAR(m::trigamma(1.0), M_PI * M_PI / 6.0, 1e-12);
-  // psi'(0.5) = pi^2/2.
-  EXPECT_NEAR(m::trigamma(0.5), M_PI * M_PI / 2.0, 1e-11);
-  EXPECT_NEAR(m::trigamma(10.0), 0.10516633568168575, 1e-13);
-}
-
-TEST(Trigamma, RecurrenceIdentity) {
-  for (double x = 0.1; x < 100.0; x *= 2.1) {
-    EXPECT_NEAR(m::trigamma(x + 1.0), m::trigamma(x) - 1.0 / (x * x), 1e-11)
-        << "x=" << x;
-  }
-}
-
 TEST(GammaP, MatchesKnownValues) {
   // P(1, x) = 1 - e^{-x}.
   for (double x : {0.1, 1.0, 3.0, 10.0}) {

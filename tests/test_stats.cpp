@@ -33,28 +33,12 @@ TEST(Descriptive, SkewnessSigns) {
   EXPECT_NEAR(s::skewness(sym), 0.0, 1e-12);
 }
 
-TEST(Descriptive, WeightedMomentsReduceToUnweighted) {
-  const std::vector<double> x{1, 5, 9};
-  const std::vector<double> w{1, 1, 1};
-  EXPECT_DOUBLE_EQ(s::weighted_mean(x, w), 5.0);
-  EXPECT_NEAR(s::weighted_variance(x, w), s::central_moment(x, 2), 1e-14);
-}
-
-TEST(Descriptive, WeightedMeanWeights) {
-  const std::vector<double> x{0.0, 10.0};
-  const std::vector<double> w{3.0, 1.0};
-  EXPECT_DOUBLE_EQ(s::weighted_mean(x, w), 2.5);
-}
-
 TEST(Descriptive, ErrorsOnDegenerateInput) {
   EXPECT_THROW(s::mean(std::vector<double>{}), std::invalid_argument);
   EXPECT_THROW(s::variance(std::vector<double>{1.0}), std::invalid_argument);
   EXPECT_THROW(s::covariance(std::vector<double>{1.0, 2.0},
                              std::vector<double>{1.0}),
                std::invalid_argument);
-  const std::vector<double> x{1.0};
-  const std::vector<double> bad{-1.0};
-  EXPECT_THROW(s::weighted_mean(x, bad), std::invalid_argument);
 }
 
 TEST(Descriptive, SummaryFields) {
@@ -75,29 +59,6 @@ TEST(Quantiles, OrderStatisticRuleMatchesPaper) {
   EXPECT_DOUBLE_EQ(s::order_statistic_quantile(x, 0.025), 500.0);
   EXPECT_DOUBLE_EQ(s::order_statistic_quantile(x, 0.975), 19500.0);
   EXPECT_DOUBLE_EQ(s::order_statistic_quantile(x, 1.0), 20000.0);
-}
-
-TEST(Quantiles, Type7Interpolates) {
-  const std::vector<double> x{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(s::quantile_type7(x, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(s::quantile_type7(x, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s::quantile_type7(x, 1.0), 10.0);
-}
-
-TEST(Quantiles, BatchedMatchesSingle) {
-  const std::vector<double> x{5, 3, 8, 1, 9, 2, 7};
-  const std::vector<double> ps{0.1, 0.5, 0.9};
-  const auto q = s::quantiles(x, ps);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(q[i], s::order_statistic_quantile(x, ps[i]));
-  }
-}
-
-TEST(Quantiles, Ecdf) {
-  const std::vector<double> x{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(s::ecdf(x, 2.5), 0.5);
-  EXPECT_DOUBLE_EQ(s::ecdf(x, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s::ecdf(x, 4.0), 1.0);
 }
 
 TEST(Diagnostics, AutocorrelationOfIidIsNearZero) {
@@ -132,29 +93,6 @@ TEST(Diagnostics, EssSmallerForCorrelatedChain) {
   }
   EXPECT_GT(s::effective_sample_size(iid), 15000.0);
   EXPECT_LT(s::effective_sample_size(ar), 4000.0);
-}
-
-TEST(Diagnostics, GewekeNearZeroForStationary) {
-  r::Rng g(64);
-  std::vector<double> x;
-  for (int i = 0; i < 20000; ++i) x.push_back(r::sample_normal(g));
-  EXPECT_LT(std::abs(s::geweke_z(x)), 3.0);
-}
-
-TEST(Diagnostics, GewekeFlagsDrift) {
-  std::vector<double> x;
-  r::Rng g(65);
-  for (int i = 0; i < 20000; ++i) {
-    x.push_back(r::sample_normal(g) + 3e-4 * i);
-  }
-  EXPECT_GT(std::abs(s::geweke_z(x)), 4.0);
-}
-
-TEST(Diagnostics, SplitRhatNearOneWhenMixed) {
-  r::Rng g(66);
-  std::vector<double> x;
-  for (int i = 0; i < 8000; ++i) x.push_back(r::sample_normal(g));
-  EXPECT_NEAR(s::split_rhat(x), 1.0, 0.02);
 }
 
 TEST(Histogram1D, CountsAndDensityNormalize) {

@@ -6,9 +6,8 @@
 //   * the adaptive n_max loop satisfies the paper's Step-4 criterion;
 //   * the resulting posterior matches conjugate oracles in degenerate
 //     regimes and carries the omega-beta correlation VB1 cannot;
-//   * the sweep is thread-count invariant, its lgamma ladder matches
-//     direct evaluation, and every fixed-point solver lands on the same
-//     posterior.
+//   * the sweep's lgamma ladder matches direct evaluation, and every
+//     fixed-point solver lands on the same posterior.
 #include <gtest/gtest.h>
 
 #include <cmath>
