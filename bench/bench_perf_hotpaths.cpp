@@ -1,9 +1,9 @@
-// Hot-path micro/meso benchmark: absolute wall times of VB2 fits and
-// gamma-mixture reliability functionals on fixed workloads, written to
-// a machine-readable BENCH_vb2.json:
+// Hot-path micro/meso benchmark: absolute wall times of VB2 fits,
+// marginal credible intervals and gamma-mixture reliability functionals
+// on fixed workloads, written to a machine-readable BENCH_vb2.json:
 //
 //   { "bench": "vb2_hotpaths", "mode": "full"|"smoke",
-//     "scenarios": [ { "name", "kind": "fit"|"functional",
+//     "scenarios": [ { "name", "kind": "fit"|"interval"|"functional",
 //                      "seconds" } ] }
 //
 // Compare a run against the committed BENCH_vb2.json on the same
@@ -33,7 +33,7 @@ namespace {
 
 struct Scenario {
   std::string name;
-  std::string kind;  // "fit" or "functional"
+  std::string kind;  // "fit", "interval" or "functional"
   double seconds = 0.0;
 };
 
@@ -76,6 +76,21 @@ Scenario bench_fit_ft_alpha2(bool smoke) {
           time_amortized([&] {
             const c::Vb2Estimator vb(2.0, ft, priors, opt);
             (void)vb.posterior().summary();
+          })};
+}
+
+/// The 0.99 omega and beta credible intervals of one System 17 VB2 fit
+/// (GO model), the pair every VB2 request computes.  The fit is untimed.
+Scenario bench_interval_pair(const std::string& name, bool grouped,
+                             const b::PriorPair& priors) {
+  const c::Vb2Estimator vb =
+      grouped ? c::Vb2Estimator(1.0, d::datasets::system17_grouped(), priors)
+              : c::Vb2Estimator(1.0, d::datasets::system17_failure_times(),
+                                priors);
+  const auto& post = vb.posterior();
+  return {name, "interval", time_amortized([&] {
+            (void)post.interval_omega(0.99);
+            (void)post.interval_beta(0.99);
           })};
 }
 
@@ -172,6 +187,16 @@ int main(int argc, char** argv) {
   scenarios.push_back(bench_reliability_quantile(smoke));
   scenarios.push_back(bench_reliability_point(smoke));
   scenarios.push_back(bench_sample(smoke));
+  scenarios.push_back(bench_interval_pair("vb2_interval_pair_dt_info", false,
+                                          vbsrm::bench::info_priors_dt()));
+  scenarios.push_back(bench_interval_pair("vb2_interval_pair_dg_info", true,
+                                          vbsrm::bench::info_priors_dg()));
+  if (!smoke) {
+    // 8155 components at n_max_limit: the heaviest interval pair.
+    scenarios.push_back(bench_interval_pair("vb2_interval_pair_dt_noinfo",
+                                            false,
+                                            vbsrm::bench::noinfo_priors()));
+  }
 
   std::printf("%-45s %12s\n", "scenario", "seconds");
   for (const Scenario& s : scenarios) {
