@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -58,6 +57,48 @@ GammaMixturePosterior::GammaMixturePosterior(
     acc += c.weight;
     cum_weights_.push_back(acc);
   }
+
+  // The omega ladder: one rate, and shape - n the same for every
+  // component up to the rounding of shape = a_0 + n.
+  const auto lowest = std::min_element(
+      components_.begin(), components_.end(),
+      [](const auto& a, const auto& b) { return a.n < b.n; });
+  const std::uint64_t n_hi =
+      std::max_element(components_.begin(), components_.end(),
+                       [](const auto& a, const auto& b) { return a.n < b.n; })
+          ->n;
+  OmegaLadder& ladder = omega_ladder_;
+  ladder.n_lo = lowest->n;
+  ladder.shape_lo = lowest->omega.shape;
+  ladder.rate = lowest->omega.rate;
+  ladder.weight.assign(n_hi - ladder.n_lo + 1, 0.0);
+  for (const auto& c : components_) {
+    const double rung = static_cast<double>(c.n - ladder.n_lo);
+    if (c.omega.rate != ladder.rate ||
+        std::abs(c.omega.shape - (ladder.shape_lo + rung)) >
+            1e-12 * c.omega.shape) {
+      throw std::invalid_argument(
+          "GammaMixturePosterior: omega | N must share one rate and one "
+          "shape - n");
+    }
+    ladder.weight[c.n - ladder.n_lo] += c.weight;
+  }
+
+  BetaColumns& bc = beta_columns_;
+  bc.log_rate.reserve(components_.size());
+  bc.lgamma_shape.reserve(components_.size());
+  for (const auto& c : components_) {
+    bc.log_rate.push_back(std::log(c.beta.rate));
+    bc.lgamma_shape.push_back(m::log_gamma(c.beta.shape));
+    bc.mean += c.weight * c.beta.mean();
+  }
+  double var = 0.0;
+  for (const auto& c : components_) {
+    const double d = c.beta.mean() - bc.mean;
+    var += c.weight * (c.beta.variance() + d * d);
+  }
+  bc.sd = std::sqrt(var);
+
   cache_slot_ = std::make_unique<CacheSlot>();
 }
 
@@ -130,51 +171,122 @@ double GammaMixturePosterior::prob_total_faults(std::uint64_t n) const {
   return s;
 }
 
+namespace {
+
+// Relative stopping tolerance of the marginal quantile searches.
+constexpr double kQuantileRelTol = 1e-13;
+
+/// Root of the nondecreasing `f` on (0, inf) from the starting bracket
+/// [lo, hi]: halves lo / doubles hi until f changes sign (f(0) < 0 and
+/// f(inf) > 0 for a CDF minus p in (0, 1)), then runs Brent.  Throws
+/// std::domain_error when the CDF never reaches p (p within rounding of
+/// 1).
+template <typename F>
+double increasing_root(const F& f, double lo, double hi) {
+  double flo = f(lo), fhi;
+  if (flo > 0.0) {
+    do {
+      hi = lo;
+      fhi = flo;
+      lo *= 0.5;
+      flo = f(lo);
+    } while (flo > 0.0);
+  } else {
+    fhi = f(hi);
+  }
+  while (fhi < 0.0) {
+    lo = hi;
+    flo = fhi;
+    hi *= 2.0;
+    fhi = f(hi);
+  }
+  if (!(flo <= 0.0 && fhi >= 0.0)) {
+    throw std::domain_error("marginal quantile: the CDF does not reach p");
+  }
+  return m::brent_bracketed(f, lo, flo, hi, fhi, kQuantileRelTol * lo, 300)
+      .x;
+}
+
+}  // namespace
+
 double GammaMixturePosterior::cdf_omega(double x) const {
-  double s = 0.0;
-  for (const auto& c : components_) s += c.weight * c.omega.cdf(x);
+  if (!(x > 0.0)) return 0.0;
+  const OmegaLadder& ladder = omega_ladder_;
+  const std::vector<double>& w = ladder.weight;
+  const double z = ladder.rate * x;
+  // Start at the rung whose shape is nearest z: the ladder terms
+  // t(a) = e^{-z} z^a / Gamma(a + 1) peak there and shrink both ways,
+  // so the walks below only ever add shrinking positive terms.
+  const std::size_t last = w.size() - 1;
+  const double nearest = std::round(z - ladder.shape_lo);
+  const std::size_t start =
+      nearest <= 0.0 ? 0
+      : nearest >= static_cast<double>(last)
+          ? last
+          : static_cast<std::size_t>(nearest);
+  const double a0 = ladder.shape_lo + static_cast<double>(start);
+  const double t0 = m::poisson_term(a0, z);
+  const m::GammaPQ pq = m::gamma_pq_prefactor(a0, z, a0 * t0);
+  double s = w[start] * pq.p;
+  // Upward: Q(a + 1) = Q(a) + t(a), t(a + 1) = t(a) z / (a + 1).
+  double q = pq.q, t = t0, a = a0;
+  for (std::size_t i = start + 1; i <= last; ++i) {
+    q += t;
+    t *= z / (a + 1.0);
+    a += 1.0;
+    s += w[i] * std::max(0.0, 1.0 - q);
+  }
+  // Downward: P(a - 1) = P(a) + t(a - 1), t(a - 1) = t(a) a / z.
+  double p = pq.p;
+  t = t0;
+  a = a0;
+  for (std::size_t i = start; i-- > 0;) {
+    t *= a / z;
+    a -= 1.0;
+    p += t;
+    s += w[i] * p;
+  }
   return s;
 }
 
 double GammaMixturePosterior::cdf_beta(double x) const {
+  if (!(x > 0.0)) return 0.0;
+  const BetaColumns& bc = beta_columns_;
+  const double log_x = std::log(x);
   double s = 0.0;
-  for (const auto& c : components_) s += c.weight * c.beta.cdf(x);
+  for (std::size_t k = 0; k < components_.size(); ++k) {
+    const GammaParams& b = components_[k].beta;
+    s += components_[k].weight *
+         m::gamma_pq_cached(b.shape, b.rate * x, bc.log_rate[k] + log_x,
+                            bc.lgamma_shape[k])
+             .p;
+  }
   return s;
 }
-
-namespace {
-
-double mixture_quantile(double p, double lo, double hi,
-                        const std::function<double(double)>& cdf) {
-  auto f = [&](double x) { return cdf(x) - p; };
-  const auto r = m::brent(f, lo, hi, 1e-13, 300);
-  return r.x;
-}
-
-}  // namespace
 
 double GammaMixturePosterior::quantile_omega(double p) const {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("quantile_omega: p in (0,1)");
   }
-  double lo = std::numeric_limits<double>::infinity(), hi = 0.0;
-  for (const auto& c : components_) {
-    lo = std::min(lo, c.omega.quantile(std::min(p, 1e-7)));
-    hi = std::max(hi, c.omega.quantile(std::max(p, 1.0 - 1e-7)));
-  }
-  return mixture_quantile(p, lo, hi, [&](double x) { return cdf_omega(x); });
+  // omega | N is stochastically increasing in N, so the mixture
+  // quantile lies between the lowest and the highest rung's.
+  const OmegaLadder& ladder = omega_ladder_;
+  const double top =
+      ladder.shape_lo + static_cast<double>(ladder.weight.size() - 1);
+  const double lo = m::inv_gamma_p(ladder.shape_lo, p) / ladder.rate;
+  const double hi = m::inv_gamma_p(top, p) / ladder.rate;
+  if (!(hi > lo)) return lo;
+  return increasing_root([&](double x) { return cdf_omega(x) - p; }, lo, hi);
 }
 
 double GammaMixturePosterior::quantile_beta(double p) const {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("quantile_beta: p in (0,1)");
   }
-  double lo = std::numeric_limits<double>::infinity(), hi = 0.0;
-  for (const auto& c : components_) {
-    lo = std::min(lo, c.beta.quantile(std::min(p, 1e-7)));
-    hi = std::max(hi, c.beta.quantile(std::max(p, 1.0 - 1e-7)));
-  }
-  return mixture_quantile(p, lo, hi, [&](double x) { return cdf_beta(x); });
+  const BetaColumns& bc = beta_columns_;
+  return increasing_root([&](double x) { return cdf_beta(x) - p; },
+                         std::max(bc.mean - 3.0 * bc.sd, 0.125 * bc.mean),
+                         bc.mean + 3.0 * bc.sd);
 }
 
 bayes::CredibleInterval GammaMixturePosterior::interval_omega(
@@ -363,8 +475,29 @@ double GammaMixturePosterior::reliability_quantile_from(
   // The CDF is monotone in x with the h-table fixed, so Brent converges
   // in ~12-15 evaluations where bisection needs ~37.
   auto f = [&](double x) { return reliability_cdf_from(x, fc, h) - p; };
-  const auto r = m::brent(f, 1e-14, 1.0 - 1e-14, 1e-12, 120);
-  return r.x;
+  constexpr double kLo = 1e-14, kHi = 1.0 - 1e-14;
+  const double flo = f(kLo);
+  if (flo > 0.0) {
+    // The quantile lies below kLo: continue downward in log x, doubling
+    // the step until the CDF drops below p (it is 0 once x underflows).
+    auto g = [&](double y) { return f(std::exp(y)); };
+    double y_hi = std::log(kLo), g_hi = flo;
+    double y_lo = 2.0 * y_hi, g_lo = g(y_lo);
+    while (g_lo > 0.0) {
+      y_hi = y_lo;
+      g_hi = g_lo;
+      y_lo *= 2.0;
+      g_lo = g(y_lo);
+    }
+    return std::exp(
+        m::brent_bracketed(g, y_lo, g_lo, y_hi, g_hi, 1e-12, 120).x);
+  }
+  const double fhi = f(kHi);
+  // Above kHi the bracket closes at x = 1, where the CDF is 1.
+  if (fhi < 0.0) {
+    return m::brent_bracketed(f, kHi, fhi, 1.0, 1.0 - p, 1e-12, 120).x;
+  }
+  return m::brent_bracketed(f, kLo, flo, kHi, fhi, 1e-12, 120).x;
 }
 
 double GammaMixturePosterior::reliability_point(double u) const {

@@ -17,6 +17,14 @@
 // reliability point/interval estimates via Eqs. (31)-(32) with the
 // omega-integral done analytically:
 //   E[e^{-omega h} | N, beta] = (b_w / (b_w + h))^{a_w}.
+//
+// The marginal CDFs run on two kernels the constructor builds once.
+// Every omega | N shares one rate and has shape a_0 + N (the VB
+// posterior form), so the omega CDF over all N is one incomplete-gamma
+// evaluation plus the unit-step recurrence Q(a+1, z) = Q(a, z) +
+// e^{-z} z^a / Gamma(a+1) walked along the N ladder; the constructor
+// rejects mixtures that break this structure.  The beta CDF is one
+// pass of the pair kernel over flat per-component columns.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +60,9 @@ struct ProductGammaComponent {
 class GammaMixturePosterior {
  public:
   /// `alpha0` and `horizon` (t_e or s_k) are retained for reliability
-  /// functionals.  Weights need not be normalized on input.
+  /// functionals.  Weights need not be normalized on input.  Every
+  /// component must share one omega rate and one `omega.shape - n`
+  /// (std::invalid_argument otherwise).
   GammaMixturePosterior(std::vector<ProductGammaComponent> components,
                         double alpha0, double horizon);
   ~GammaMixturePosterior();
@@ -71,6 +81,9 @@ class GammaMixturePosterior {
   double mean_total_faults() const;
   double prob_total_faults(std::uint64_t n) const;
 
+  /// Marginal CDFs and quantiles.  Quantiles widen their starting
+  /// bracket geometrically until the CDF crosses p, then run Brent to a
+  /// 1e-13 relative tolerance.
   double cdf_omega(double x) const;
   double cdf_beta(double x) const;
   double quantile_omega(double p) const;
@@ -120,10 +133,29 @@ class GammaMixturePosterior {
   double reliability_quantile_from(double p, const FunctionalCache& fc,
                                    const HTable& h) const;
 
+  /// omega | N ~ Gamma(shape_lo + (N - n_lo), rate) for every N in
+  /// [n_lo, n_lo + weight.size()); N absent from the mixture has
+  /// weight 0.
+  struct OmegaLadder {
+    std::uint64_t n_lo = 0;
+    double shape_lo = 0.0;
+    double rate = 0.0;
+    std::vector<double> weight;
+  };
+  /// Per-component log(beta.rate) and lgamma(beta.shape), so a beta CDF
+  /// sweep costs one log(x); weight, shape and rate are read from
+  /// components_ rather than copied.
+  struct BetaColumns {
+    std::vector<double> log_rate, lgamma_shape;
+    double mean = 0.0, sd = 0.0;  // of the beta marginal
+  };
+
   std::vector<ProductGammaComponent> components_;
   double alpha0_;
   double horizon_;
   std::vector<double> cum_weights_;  // prefix sums for sample()
+  OmegaLadder omega_ladder_;
+  BetaColumns beta_columns_;
   mutable std::unique_ptr<CacheSlot> cache_slot_;
 };
 

@@ -7,11 +7,17 @@ namespace vbsrm::math {
 
 RootResult bisect(const std::function<double(double)>& f, double a, double b,
                   double x_tol, int max_iter) {
-  double fa = f(a), fb = f(b);
+  const double fa = f(a);
+  return bisect_bracketed(f, a, fa, b, f(b), x_tol, max_iter);
+}
+
+RootResult bisect_bracketed(const std::function<double(double)>& f, double a,
+                            double fa, double b, double fb, double x_tol,
+                            int max_iter) {
   RootResult r;
   if (fa == 0.0) return {a, 0, true};
   if (fb == 0.0) return {b, 0, true};
-  if (fa * fb > 0.0) return {0.5 * (a + b), 0, false};
+  if (fa * fb > 0.0) throw std::invalid_argument("bisect: root not bracketed");
   for (int i = 0; i < max_iter; ++i) {
     const double m = 0.5 * (a + b);
     const double fm = f(m);
@@ -34,10 +40,16 @@ RootResult bisect(const std::function<double(double)>& f, double a, double b,
 
 RootResult brent(const std::function<double(double)>& f, double a, double b,
                  double x_tol, int max_iter) {
-  double fa = f(a), fb = f(b);
+  const double fa = f(a);
+  return brent_bracketed(f, a, fa, b, f(b), x_tol, max_iter);
+}
+
+RootResult brent_bracketed(const std::function<double(double)>& f, double a,
+                           double fa, double b, double fb, double x_tol,
+                           int max_iter) {
   if (fa == 0.0) return {a, 0, true};
   if (fb == 0.0) return {b, 0, true};
-  if (fa * fb > 0.0) return {0.5 * (a + b), 0, false};
+  if (fa * fb > 0.0) throw std::invalid_argument("brent: root not bracketed");
   double c = a, fc = fa, d = b - a, e = d;
   for (int it = 1; it <= max_iter; ++it) {
     if (std::abs(fc) < std::abs(fb)) {

@@ -11,13 +11,28 @@ struct RootResult {
   bool converged = false;
 };
 
-/// Bisection on [a, b]; requires f(a) and f(b) of opposite sign.
+// bisect and brent require f(a) and f(b) of opposite sign (or one of
+// them zero) and throw std::invalid_argument otherwise, so an
+// unbracketed start never comes back as a value.  When max_iter runs
+// out, x is still inside the bracket (brent then reports
+// converged = false).
+
+/// Bisection on [a, b].
 RootResult bisect(const std::function<double(double)>& f, double a, double b,
                   double x_tol = 1e-12, int max_iter = 200);
 
 /// Brent's method (inverse quadratic + secant + bisection safeguards).
 RootResult brent(const std::function<double(double)>& f, double a, double b,
                  double x_tol = 1e-13, int max_iter = 200);
+
+/// bisect / brent on [a, b] for a caller that already holds fa = f(a)
+/// and fb = f(b): the same iterates without evaluating the ends again.
+RootResult bisect_bracketed(const std::function<double(double)>& f, double a,
+                            double fa, double b, double fb, double x_tol,
+                            int max_iter);
+RootResult brent_bracketed(const std::function<double(double)>& f, double a,
+                           double fa, double b, double fb, double x_tol,
+                           int max_iter);
 
 /// Newton iteration with a bracketing safeguard: if [lo, hi] brackets a
 /// root, iterates never leave it and fall back to bisection when the

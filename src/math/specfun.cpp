@@ -76,7 +76,12 @@ GammaPQ gamma_pq_cached(double a, double x, double log_x,
                         double log_gamma_a) {
   if (!(a > 0.0) || x < 0.0) return {kNan, kNan};
   if (x == 0.0) return {0.0, 1.0};
-  const double prefactor = std::exp(a * log_x - x - log_gamma_a);
+  return gamma_pq_prefactor(a, x, std::exp(a * log_x - x - log_gamma_a));
+}
+
+GammaPQ gamma_pq_prefactor(double a, double x, double prefactor) {
+  if (!(a > 0.0) || x < 0.0) return {kNan, kNan};
+  if (x == 0.0) return {0.0, 1.0};
   if (x < a + 1.0) {
     const double p = std::min(1.0, gamma_p_series_sum(a, x) * prefactor);
     return {p, 1.0 - p};
@@ -89,6 +94,45 @@ GammaPQ gamma_pq(double a, double x) {
   if (!(a > 0.0) || x < 0.0) return {kNan, kNan};
   if (x == 0.0) return {0.0, 1.0};
   return gamma_pq_cached(a, x, std::log(x), log_gamma(a));
+}
+
+namespace {
+
+// log Gamma(a + 1) - (a + 1/2) log a + a - log sqrt(2 pi): the Stirling
+// series error, by its asymptotic expansion (truncation < 1e-16 for
+// a >= 15).
+double stirlerr(double a) {
+  constexpr double s0 = 1.0 / 12.0, s1 = 1.0 / 360.0, s2 = 1.0 / 1260.0,
+                   s3 = 1.0 / 1680.0, s4 = 1.0 / 1188.0;
+  const double a2 = a * a;
+  return (s0 - (s1 - (s2 - (s3 - s4 / a2) / a2) / a2) / a2) / a;
+}
+
+// a log(a / z) + z - a without cancellation when a ~ z (Loader 2000).
+double bd0(double a, double z) {
+  if (std::abs(a - z) < 0.1 * (a + z)) {
+    const double v = (a - z) / (a + z);
+    const double v2 = v * v;
+    double s = (a - z) * v;
+    double ej = 2.0 * a * v;
+    for (int j = 1; j < 1000; ++j) {
+      ej *= v2;
+      const double s1 = s + ej / (2 * j + 1);
+      if (s1 == s) return s1;
+      s = s1;
+    }
+    return s;
+  }
+  return a * std::log(a / z) + z - a;
+}
+
+}  // namespace
+
+double poisson_term(double a, double z) {
+  if (!(a > 0.0) || z < 0.0) return kNan;
+  if (z == 0.0) return 0.0;
+  if (a < 15.0) return std::exp(a * std::log(z) - z - log_gamma(a + 1.0));
+  return std::exp(-stirlerr(a) - bd0(a, z)) / std::sqrt(2.0 * M_PI * a);
 }
 
 double log_gamma(double z) {

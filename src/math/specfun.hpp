@@ -62,6 +62,16 @@ struct GammaPQ {
 /// amortized log(x) and log_gamma(a).
 GammaPQ gamma_pq(double a, double x);
 GammaPQ gamma_pq_cached(double a, double x, double log_x, double log_gamma_a);
+/// The same pair from a caller-supplied prefactor x^a e^{-x} / Gamma(a),
+/// for callers that hold it more accurately than the log-space form.
+GammaPQ gamma_pq_prefactor(double a, double x, double prefactor);
+
+/// e^{-z} z^a / Gamma(a + 1) for a > 0, z >= 0: the Poisson pmf at a
+/// real count, and the step of the recurrence P(a + 1, z) = P(a, z) -
+/// e^{-z} z^a / Gamma(a + 1).  For a >= 15 it uses Loader's saddle-point
+/// form exp(-stirlerr(a) - bd0(a, z)) / sqrt(2 pi a), which keeps a few
+/// ulp where a log z - z - log Gamma(a + 1) cancels hundreds of units.
+double poisson_term(double a, double z);
 
 /// Standard normal cumulative distribution function.
 double normal_cdf(double z);

@@ -230,10 +230,6 @@ double GammaTypeModel::intensity(double t) const {
   return omega_ * law_.pdf(t, beta_);
 }
 
-double GammaTypeModel::residual_faults(double t) const {
-  return omega_ * law_.survival(t, beta_);
-}
-
 double GammaTypeModel::reliability(double t, double u) const {
   if (u < 0.0) throw std::invalid_argument("reliability: u must be >= 0");
   if (u == 0.0) return 1.0;

@@ -116,8 +116,6 @@ class GammaTypeModel {
   double mean_value(double t) const;
   /// Intensity lambda(t) = omega * g(t).
   double intensity(double t) const;
-  /// Expected residual faults at time t: omega * (1 - G(t)).
-  double residual_faults(double t) const;
   /// Software reliability R(t+u | t) = exp(-(Lambda(t+u) - Lambda(t))),
   /// Eq. (3) of the paper.
   double reliability(double t, double u) const;

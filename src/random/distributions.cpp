@@ -11,11 +11,6 @@ namespace vbsrm::random {
 
 namespace m = vbsrm::math;
 
-double sample_exponential(Rng& rng, double lambda) {
-  if (!(lambda > 0.0)) throw std::invalid_argument("exponential: rate <= 0");
-  return -std::log(rng.next_open()) / lambda;
-}
-
 double sample_normal(Rng& rng) {
   // Marsaglia polar method.
   for (;;) {

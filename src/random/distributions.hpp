@@ -13,9 +13,6 @@
 
 namespace vbsrm::random {
 
-/// Exponential with rate lambda > 0.
-double sample_exponential(Rng& rng, double lambda);
-
 /// Standard normal.
 double sample_normal(Rng& rng);
 

@@ -1,7 +1,8 @@
 // ThreadSanitizer-targeted stress tests for every concurrent subsystem:
 // math::parallel_for's contended error path, BatchRunner cancellation
 // mid-grid, the serve worker pool's backpressure / deadline / drain
-// paths, and sharded cache hit/miss races.  The assertions are
+// paths, sharded cache hit/miss races, and the first use of one gamma
+// mixture from many threads.  The assertions are
 // deliberately structural (every response is one of the statuses the
 // state machine can produce, every cache hit returns the bytes that
 // were put) — the real check is TSan observing the interleavings
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +21,8 @@
 #include <vector>
 
 #include "bayes/prior.hpp"
+#include "core/vb2.hpp"
+#include "data/datasets.hpp"
 #include "data/failure_data.hpp"
 #include "engine/batch.hpp"
 #include "engine/registry.hpp"
@@ -344,4 +349,56 @@ TEST(ServiceStress, MetricsSnapshotsRaceRequestTraffic) {
 
   const serve::MetricsSnapshot m = service.metrics_snapshot();
   EXPECT_EQ(m.requests_total, 4u * 8u * 2u);
+}
+
+
+// --- gamma mixture: concurrent first use ---------------------------------
+
+namespace {
+
+struct MixtureAnswers {
+  bayes::CredibleInterval omega, beta;
+  bayes::ReliabilityEstimate reliability;
+};
+
+std::vector<std::uint64_t> answer_bits(const MixtureAnswers& a) {
+  std::vector<std::uint64_t> out;
+  for (const double v :
+       {a.omega.lower, a.omega.upper, a.beta.lower, a.beta.upper,
+        a.reliability.point, a.reliability.lower, a.reliability.upper}) {
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+MixtureAnswers ask_mixture(const core::GammaMixturePosterior& post) {
+  return {post.interval_omega(0.99), post.interval_beta(0.99),
+          post.reliability(0.1 * post.horizon(), 0.99)};
+}
+
+}  // namespace
+
+// Eight threads make the first calls on one fresh VB2 posterior, racing
+// the lazily built reliability cache; every answer must equal, bit for
+// bit, what a serial run on an identical posterior returns.
+TEST(MixtureStress, ConcurrentFirstUseIsBitIdentical) {
+  const bayes::PriorPair priors{bayes::GammaPrior::from_mean_sd(50.0, 15.8),
+                                bayes::GammaPrior::from_mean_sd(1e-5, 3.2e-6)};
+  const auto dt = data::datasets::system17_failure_times();
+  const core::Vb2Estimator serial(1.0, dt, priors);
+  const auto want = answer_bits(ask_mixture(serial.posterior()));
+
+  const core::Vb2Estimator shared(1.0, dt, priors);
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::uint64_t>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = answer_bits(ask_mixture(shared.posterior()));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], want) << "thread " << i;
+  }
 }

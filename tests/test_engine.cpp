@@ -196,6 +196,27 @@ TEST(EngineAdapters, McmcRespectsRequestSeedAndReportsVariates) {
   EXPECT_EQ(est->diagnostics().variates, direct.variates_generated());
 }
 
+// --- reliability windows past the search floor ----------------------------
+
+// With flat priors on D_T and u = 3 t_e the 0.5% reliability quantile
+// lies far below the 1e-14 / 1e-12 floor of the x-space search; it must
+// still come back as a quantile, not as the floor or the 0.5 midpoint.
+TEST(EngineWindows, FlatPriorLongWindowKeepsEndpointsAroundThePoint) {
+  const engine::EstimatorRequest req(
+      1.0, data::datasets::system17_failure_times(),
+      bayes::PriorPair::flat());
+  const double u = 3.0 * req.horizon();
+  for (const char* method : {"vb2", "nint"}) {
+    SCOPED_TRACE(method);
+    const auto est = engine::make(method, req);
+    const auto r = est->reliability(u, 0.99);
+    EXPECT_GE(r.lower, 0.0);
+    EXPECT_LE(r.lower, r.point);
+    EXPECT_LE(r.point, r.upper);
+    EXPECT_LT(r.lower, 1e-14);
+  }
+}
+
 // --- batch runner ---------------------------------------------------------
 
 engine::BatchSpec small_grid_spec() {

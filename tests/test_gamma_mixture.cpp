@@ -4,8 +4,11 @@
 // multi-component mixtures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/gamma_mixture.hpp"
 #include "core/vb2.hpp"
@@ -201,6 +204,117 @@ TEST(Mixture, CdfQuantileRoundTrip) {
   }
   EXPECT_THROW(mix.quantile_omega(0.0), std::invalid_argument);
   EXPECT_THROW(mix.quantile_beta(1.0), std::invalid_argument);
+}
+
+// --- the marginal kernels against direct per-component sums -------------
+
+double direct_cdf_omega(const c::GammaMixturePosterior& mix, double x) {
+  double s = 0.0;
+  for (const auto& comp : mix.components()) {
+    s += comp.weight * m::gamma_p(comp.omega.shape, comp.omega.rate * x);
+  }
+  return s;
+}
+
+double direct_cdf_beta(const c::GammaMixturePosterior& mix, double x) {
+  double s = 0.0;
+  for (const auto& comp : mix.components()) {
+    s += comp.weight * m::gamma_p(comp.beta.shape, comp.beta.rate * x);
+  }
+  return s;
+}
+
+/// Both marginal CDFs against the direct sums at the mixture's own
+/// quantiles over the whole range, and far outside it.
+void expect_kernels_match_direct(const c::GammaMixturePosterior& mix) {
+  const auto s = mix.summary();
+  std::vector<double> xo = {1e-3 * s.mean_omega, 1e3 * s.mean_omega};
+  std::vector<double> xb = {1e-3 * s.mean_beta, 1e3 * s.mean_beta};
+  for (const double p : {1e-7, 0.005, 0.1, 0.3, 0.5, 0.7, 0.9, 0.995,
+                         1.0 - 1e-7}) {
+    xo.push_back(mix.quantile_omega(p));
+    xb.push_back(mix.quantile_beta(p));
+  }
+  for (const double x : xo) {
+    EXPECT_NEAR(mix.cdf_omega(x), direct_cdf_omega(mix, x), 1e-13) << x;
+  }
+  for (const double x : xb) {
+    EXPECT_NEAR(mix.cdf_beta(x), direct_cdf_beta(mix, x), 1e-13) << x;
+  }
+}
+
+TEST(MixtureKernels, MatchDirectSumsAcrossALadderGap) {
+  // N = 40 and N = 60: the omega ladder walks 19 absent rungs.
+  expect_kernels_match_direct(two_components());
+}
+
+TEST(MixtureKernels, MatchDirectSumsOnVb2InfoFits) {
+  const c::Vb2Estimator vt(1.0, vbsrm::data::datasets::system17_failure_times(),
+                           info_priors_dt());
+  const c::Vb2Estimator vg(2.0, vbsrm::data::datasets::system17_grouped(),
+                           info_priors_dg());
+  expect_kernels_match_direct(vt.posterior());
+  expect_kernels_match_direct(vg.posterior());
+}
+
+TEST(MixtureKernels, MatchDirectSumsOnNoInfoFitAtNmaxLimit) {
+  const c::Vb2Estimator vb(1.0, vbsrm::data::datasets::system17_failure_times(),
+                           vbsrm::bayes::PriorPair::flat());
+  EXPECT_GT(vb.posterior().components().size(), 8000u);
+  expect_kernels_match_direct(vb.posterior());
+}
+
+TEST(MixtureKernels, OneComponentQuantilesAreGammaQuantiles) {
+  const auto mix = one_component();
+  const auto& comp = mix.components()[0];
+  for (const double p : {1e-7, 0.005, 0.5, 0.995, 1.0 - 1e-7}) {
+    EXPECT_EQ(mix.quantile_omega(p), comp.omega.quantile(p)) << p;
+    // Both sides invert P(a, x) - p in double: at p = 1 - 1e-7 its
+    // 1e-16 absolute resolution is ~1e-10 relative in x.
+    const double qb = comp.beta.quantile(p);
+    const double tol = p < 0.999 ? 1e-12 : 1e-9;
+    EXPECT_NEAR(mix.quantile_beta(p), qb, tol * qb) << p;
+  }
+}
+
+TEST(MixtureKernels, DeepTailQuantilesInvertTheDirectCdf) {
+  const c::Vb2Estimator vt(1.0, vbsrm::data::datasets::system17_failure_times(),
+                           info_priors_dt());
+  for (const auto* mix : {&vt.posterior()}) {
+    for (const double p : {1e-7, 1.0 - 1e-7}) {
+      const double tail = std::min(p, 1.0 - p);
+      EXPECT_NEAR(direct_cdf_omega(*mix, mix->quantile_omega(p)), p,
+                  1e-6 * tail)
+          << p;
+      EXPECT_NEAR(direct_cdf_beta(*mix, mix->quantile_beta(p)), p,
+                  1e-6 * tail)
+          << p;
+    }
+  }
+  const auto two = two_components();
+  for (const double p : {1e-7, 1.0 - 1e-7}) {
+    const double tail = std::min(p, 1.0 - p);
+    EXPECT_NEAR(direct_cdf_omega(two, two.quantile_omega(p)), p, 1e-6 * tail);
+    EXPECT_NEAR(direct_cdf_beta(two, two.quantile_beta(p)), p, 1e-6 * tail);
+  }
+}
+
+TEST(MixtureKernels, RejectsMixturesOffTheOmegaLadder) {
+  c::ProductGammaComponent a, b;
+  a.n = 40;
+  a.weight = 0.5;
+  a.omega = {40.0, 1.0};
+  a.beta = {10.0, 1e6};
+  b = a;
+  b.n = 41;
+  b.omega = {41.0, 1.5};  // a second omega rate
+  EXPECT_THROW(c::GammaMixturePosterior({a, b}, 1.0, 1.0),
+               std::invalid_argument);
+  b.omega = {42.0, 1.0};  // shape - n differs from a's
+  EXPECT_THROW(c::GammaMixturePosterior({a, b}, 1.0, 1.0),
+               std::invalid_argument);
+  b.omega = {41.0, 1.0};
+  EXPECT_NO_THROW(c::GammaMixturePosterior({a, b}, 1.0, 1.0));
 }
 
 TEST(Mixture, IntervalsOrdered) {

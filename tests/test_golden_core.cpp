@@ -8,17 +8,20 @@
 // engine::make returns them: diagnostics, summary, 0.99 intervals and
 // one reliability window on D_T-Info and D_G-Info.
 //
-// Every value is asserted bitwise.  A change that is meant to move the
-// numbers replaces this exact comparison with a stated relative
-// tolerance against the fixture; NINT (tests/test_cross_method.cpp)
-// stays the accuracy yardstick.  On a mismatch the test prints the
-// line the current code produces.
+// Every value is asserted bitwise except where a change deliberately
+// moved the numbers; those keys carry a stated relative tolerance
+// against the same fixture (see line_tolerance), and NINT
+// (tests/test_cross_method.cpp) stays the accuracy yardstick.  On a
+// mismatch the test prints the line the current code produces.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -131,12 +134,52 @@ std::vector<std::string> fixture_lines(const std::string& file,
   return out;
 }
 
+std::vector<std::string> fields(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> out;
+  for (std::string f; in >> f;) out.push_back(f);
+  return out;
+}
+
+/// Relative tolerance of one fixture line, by case name and key.  The
+/// marginal quantiles run on the N-ladder (omega) and flat-column
+/// (beta) kernels with a 1e-13 relative Brent stop; the fixture's beta
+/// quantiles came from a 1e-13 absolute stop, only ~1e-8 relative where
+/// beta ~ 1e-5 (D_T).  NINT takes its integration box from those
+/// quantiles, so every NINT output moves with them.
+double line_tolerance(const std::string& name, const std::string& key) {
+  if (name.size() > 5 && name.compare(name.size() - 5, 5, "_nint") == 0) {
+    return 1e-9;
+  }
+  if (key == "interval_omega") return 1e-10;
+  if (key == "interval_beta") return 1e-8;
+  return 0.0;
+}
+
+/// Whether `actual` matches the fixture line `expected`: field for
+/// field, bitwise or within line_tolerance.
+bool line_matches(const std::string& expected, const std::string& actual) {
+  if (actual == expected) return true;
+  const auto e = fields(expected), a = fields(actual);
+  if (e.size() != a.size() || e.size() < 2 || e[0] != a[0] || e[1] != a[1]) {
+    return false;
+  }
+  const double tol = line_tolerance(e[0], e[1]);
+  for (std::size_t k = 2; k < e.size(); ++k) {
+    if (e[k] == a[k]) continue;
+    const double ev = std::strtod(e[k].c_str(), nullptr);
+    const double av = std::strtod(a[k].c_str(), nullptr);
+    if (!(std::abs(av - ev) <= tol * std::abs(ev))) return false;
+  }
+  return true;
+}
+
 void expect_lines(const std::string& file, const std::string& name,
                   const std::vector<std::string>& actual) {
   const auto expected = fixture_lines(file, name);
   EXPECT_EQ(actual.size(), expected.size()) << "line count for " << name;
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    if (i >= expected.size() || actual[i] != expected[i]) {
+    if (i >= expected.size() || !line_matches(expected[i], actual[i])) {
       ADD_FAILURE() << "expected: "
                     << (i < expected.size() ? expected[i] : "<missing>")
                     << "\n  actual: " << actual[i];

@@ -53,13 +53,6 @@ TEST(GammaTypeModel, RejectsBadParameters) {
   EXPECT_THROW(n::GammaTypeModel(1.0, 1.0, 0.0), std::invalid_argument);
 }
 
-TEST(GammaTypeModel, ResidualFaultsComplement) {
-  const auto m = n::GammaTypeModel(2.5, 40.0, 1e-3);
-  for (double t : {0.0, 500.0, 5000.0}) {
-    EXPECT_NEAR(m.mean_value(t) + m.residual_faults(t), 40.0, 1e-9);
-  }
-}
-
 TEST(Reliability, MatchesEquationThree) {
   const auto go = n::goel_okumoto(44.0, 1.26e-5);
   const double te = 160000.0, u = 1000.0;

@@ -62,27 +62,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_NE(h.next_u64(), h2.next_u64());
 }
 
-TEST(Exponential, MomentsMatch) {
-  r::Rng g(101);
-  std::vector<double> x;
-  for (int i = 0; i < 200000; ++i) x.push_back(r::sample_exponential(g, 2.5));
-  EXPECT_NEAR(s::mean(x), 1.0 / 2.5, 0.005);
-  EXPECT_NEAR(s::variance(x), 1.0 / (2.5 * 2.5), 0.01);
-}
-
-TEST(Exponential, KsAgainstExactCdf) {
-  r::Rng g(102);
-  std::vector<double> x;
-  for (int i = 0; i < 5000; ++i) x.push_back(r::sample_exponential(g, 1.0));
-  const auto ks = s::ks_test(x, [](double t) { return 1.0 - std::exp(-t); });
-  EXPECT_GT(ks.p_value, 1e-3);
-}
-
-TEST(Exponential, RejectsBadRate) {
-  r::Rng g(1);
-  EXPECT_THROW(r::sample_exponential(g, 0.0), std::invalid_argument);
-}
-
 TEST(Normal, MomentsAndSymmetry) {
   r::Rng g(103);
   std::vector<double> x;

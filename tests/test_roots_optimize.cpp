@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "math/optimize.hpp"
 #include "math/roots.hpp"
@@ -17,8 +18,11 @@ TEST(Bisect, FindsSimpleRoot) {
 }
 
 TEST(Bisect, ReportsFailureWithoutSignChange) {
-  const auto r = m::bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0);
-  EXPECT_FALSE(r.converged);
+  // An unbracketed start is an error, never a value.
+  EXPECT_THROW(m::bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(m::brent([](double x) { return x * x + 1.0; }, -1.0, 1.0),
+               std::invalid_argument);
 }
 
 TEST(Bisect, ExactRootAtEndpoint) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bayes/prior.hpp"
+#include "data/datasets.hpp"
 #include "data/failure_data.hpp"
 #include "engine/registry.hpp"
 #include "serve/json.hpp"
@@ -197,6 +198,41 @@ TEST(ServeService, EstimateMatchesDirectFitBitForBit) {
   EXPECT_EQ(bits_of(entry.find("point")->as_number()), bits_of(re.point));
   EXPECT_EQ(bits_of(entry.find("lower")->as_number()), bits_of(re.lower));
   EXPECT_EQ(bits_of(entry.find("upper")->as_number()), bits_of(re.upper));
+}
+
+// The daemon's defaults (flat priors) with a window of 3 t_e on System
+// 17: the lower endpoint sits below the x-space search floor, and the
+// answer must still order lower <= point <= upper.
+TEST(ServeService, LongWindowWithFlatPriorsKeepsEndpointsAroundThePoint) {
+  serve::Service svc(small_options());
+  const auto dt = data::datasets::system17_failure_times();
+  std::string times = "[";
+  for (const double t : dt.times()) {
+    if (times.size() > 1) times += ',';
+    times += json::write_number(t);
+  }
+  times += ']';
+  const std::string te = json::write_number(dt.observation_end());
+  const std::string u = json::write_number(3.0 * dt.observation_end());
+  const std::string body =
+      "{\"method\":\"vb2\",\"data\":{\"type\":\"failure_times\","
+      "\"times\":" + times + ",\"observation_end\":" + te +
+      "},\"level\":0.99,\"reliability_windows\":[" + u + "]}";
+  // 8155 mixture components: give sanitizer builds room.
+  const serve::Response r =
+      svc.handle(post("/v1/estimate", body, 600000.0));
+  ASSERT_EQ(r.status, 200) << r.body;
+  const json::Value doc = json::parse(r.body);
+  const json::Value* rel = doc.find("reliability");
+  ASSERT_NE(rel, nullptr);
+  ASSERT_EQ(rel->size(), 1u);
+  const json::Value& entry = rel->items()[0];
+  const double lower = entry.find("lower")->as_number();
+  const double point = entry.find("point")->as_number();
+  const double upper = entry.find("upper")->as_number();
+  EXPECT_GE(lower, 0.0);
+  EXPECT_LE(lower, point);
+  EXPECT_LE(point, upper);
 }
 
 TEST(ServeService, CacheHitIsByteIdentical) {

@@ -150,7 +150,7 @@ TEST(KsTest, AcceptsCorrectNull) {
 TEST(KsTest, RejectsWrongNull) {
   r::Rng g(72);
   std::vector<double> x;
-  for (int i = 0; i < 2000; ++i) x.push_back(r::sample_exponential(g, 1.0));
+  for (int i = 0; i < 2000; ++i) x.push_back(r::sample_gamma(g, 1.0, 1.0));
   // Claim: standard normal.  Must reject decisively.
   const auto ks = s::ks_test(x, [](double t) {
     return vbsrm::math::normal_cdf(t);
