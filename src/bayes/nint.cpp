@@ -207,30 +207,9 @@ double NintEstimator::reliability_quantile(double p, double u) const {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("reliability_quantile: p in (0,1)");
   }
-  auto f = [&](double x) { return reliability_cdf(x, u) - p; };
-  constexpr double kLo = 1e-12, kHi = 1.0 - 1e-12;
-  const double flo = f(kLo);
-  if (flo > 0.0) {
-    // The quantile lies below kLo: continue downward in log x, doubling
-    // the step until the CDF drops below p (it is 0 once x underflows).
-    auto g = [&](double y) { return f(std::exp(y)); };
-    double y_hi = std::log(kLo), g_hi = flo;
-    double y_lo = 2.0 * y_hi, g_lo = g(y_lo);
-    while (g_lo > 0.0) {
-      y_hi = y_lo;
-      g_hi = g_lo;
-      y_lo *= 2.0;
-      g_lo = g(y_lo);
-    }
-    return std::exp(
-        m::bisect_bracketed(g, y_lo, g_lo, y_hi, g_hi, 1e-10, 200).x);
-  }
-  const double fhi = f(kHi);
-  // Above kHi the bracket closes at x = 1, where the CDF is 1.
-  if (fhi < 0.0) {
-    return m::bisect_bracketed(f, kHi, fhi, 1.0, 1.0 - p, 1e-10, 200).x;
-  }
-  return m::bisect_bracketed(f, kLo, flo, kHi, fhi, 1e-10, 200).x;
+  return m::unit_interval_quantile(
+      [&](double x) { return reliability_cdf(x, u) - p; }, 1e-12,
+      m::RootSolver::kBisect, 1e-10, 200);
 }
 
 ReliabilityEstimate NintEstimator::reliability(double u, double level) const {

@@ -176,37 +176,6 @@ namespace {
 // Relative stopping tolerance of the marginal quantile searches.
 constexpr double kQuantileRelTol = 1e-13;
 
-/// Root of the nondecreasing `f` on (0, inf) from the starting bracket
-/// [lo, hi]: halves lo / doubles hi until f changes sign (f(0) < 0 and
-/// f(inf) > 0 for a CDF minus p in (0, 1)), then runs Brent.  Throws
-/// std::domain_error when the CDF never reaches p (p within rounding of
-/// 1).
-template <typename F>
-double increasing_root(const F& f, double lo, double hi) {
-  double flo = f(lo), fhi;
-  if (flo > 0.0) {
-    do {
-      hi = lo;
-      fhi = flo;
-      lo *= 0.5;
-      flo = f(lo);
-    } while (flo > 0.0);
-  } else {
-    fhi = f(hi);
-  }
-  while (fhi < 0.0) {
-    lo = hi;
-    flo = fhi;
-    hi *= 2.0;
-    fhi = f(hi);
-  }
-  if (!(flo <= 0.0 && fhi >= 0.0)) {
-    throw std::domain_error("marginal quantile: the CDF does not reach p");
-  }
-  return m::brent_bracketed(f, lo, flo, hi, fhi, kQuantileRelTol * lo, 300)
-      .x;
-}
-
 }  // namespace
 
 double GammaMixturePosterior::cdf_omega(double x) const {
@@ -276,7 +245,8 @@ double GammaMixturePosterior::quantile_omega(double p) const {
   const double lo = m::inv_gamma_p(ladder.shape_lo, p) / ladder.rate;
   const double hi = m::inv_gamma_p(top, p) / ladder.rate;
   if (!(hi > lo)) return lo;
-  return increasing_root([&](double x) { return cdf_omega(x) - p; }, lo, hi);
+  return m::increasing_root([&](double x) { return cdf_omega(x) - p; }, lo,
+                            hi, kQuantileRelTol, 300);
 }
 
 double GammaMixturePosterior::quantile_beta(double p) const {
@@ -284,9 +254,9 @@ double GammaMixturePosterior::quantile_beta(double p) const {
     throw std::invalid_argument("quantile_beta: p in (0,1)");
   }
   const BetaColumns& bc = beta_columns_;
-  return increasing_root([&](double x) { return cdf_beta(x) - p; },
-                         std::max(bc.mean - 3.0 * bc.sd, 0.125 * bc.mean),
-                         bc.mean + 3.0 * bc.sd);
+  return m::increasing_root([&](double x) { return cdf_beta(x) - p; },
+                            std::max(bc.mean - 3.0 * bc.sd, 0.125 * bc.mean),
+                            bc.mean + 3.0 * bc.sd, kQuantileRelTol, 300);
 }
 
 bayes::CredibleInterval GammaMixturePosterior::interval_omega(
@@ -474,30 +444,9 @@ double GammaMixturePosterior::reliability_quantile_from(
     double p, const FunctionalCache& fc, const HTable& h) const {
   // The CDF is monotone in x with the h-table fixed, so Brent converges
   // in ~12-15 evaluations where bisection needs ~37.
-  auto f = [&](double x) { return reliability_cdf_from(x, fc, h) - p; };
-  constexpr double kLo = 1e-14, kHi = 1.0 - 1e-14;
-  const double flo = f(kLo);
-  if (flo > 0.0) {
-    // The quantile lies below kLo: continue downward in log x, doubling
-    // the step until the CDF drops below p (it is 0 once x underflows).
-    auto g = [&](double y) { return f(std::exp(y)); };
-    double y_hi = std::log(kLo), g_hi = flo;
-    double y_lo = 2.0 * y_hi, g_lo = g(y_lo);
-    while (g_lo > 0.0) {
-      y_hi = y_lo;
-      g_hi = g_lo;
-      y_lo *= 2.0;
-      g_lo = g(y_lo);
-    }
-    return std::exp(
-        m::brent_bracketed(g, y_lo, g_lo, y_hi, g_hi, 1e-12, 120).x);
-  }
-  const double fhi = f(kHi);
-  // Above kHi the bracket closes at x = 1, where the CDF is 1.
-  if (fhi < 0.0) {
-    return m::brent_bracketed(f, kHi, fhi, 1.0, 1.0 - p, 1e-12, 120).x;
-  }
-  return m::brent_bracketed(f, kLo, flo, kHi, fhi, 1e-12, 120).x;
+  return m::unit_interval_quantile(
+      [&](double x) { return reliability_cdf_from(x, fc, h) - p; }, 1e-14,
+      m::RootSolver::kBrent, 1e-12, 120);
 }
 
 double GammaMixturePosterior::reliability_point(double u) const {

@@ -5,15 +5,15 @@
 
 namespace vbsrm::math {
 
-RootResult bisect(const std::function<double(double)>& f, double a, double b,
-                  double x_tol, int max_iter) {
-  const double fa = f(a);
-  return bisect_bracketed(f, a, fa, b, f(b), x_tol, max_iter);
-}
+namespace {
 
-RootResult bisect_bracketed(const std::function<double(double)>& f, double a,
-                            double fa, double b, double fb, double x_tol,
-                            int max_iter) {
+// The solvers proper, for a caller that already holds fa = f(a) and
+// fb = f(b): the bracket searches below reuse the end values their
+// probes computed.
+
+RootResult bisect_from(const std::function<double(double)>& f, double a,
+                       double fa, double b, double fb, double x_tol,
+                       int max_iter) {
   RootResult r;
   if (fa == 0.0) return {a, 0, true};
   if (fb == 0.0) return {b, 0, true};
@@ -38,15 +38,9 @@ RootResult bisect_bracketed(const std::function<double(double)>& f, double a,
   return r;
 }
 
-RootResult brent(const std::function<double(double)>& f, double a, double b,
-                 double x_tol, int max_iter) {
-  const double fa = f(a);
-  return brent_bracketed(f, a, fa, b, f(b), x_tol, max_iter);
-}
-
-RootResult brent_bracketed(const std::function<double(double)>& f, double a,
-                           double fa, double b, double fb, double x_tol,
-                           int max_iter) {
+RootResult brent_from(const std::function<double(double)>& f, double a,
+                      double fa, double b, double fb, double x_tol,
+                      int max_iter) {
   if (fa == 0.0) return {a, 0, true};
   if (fb == 0.0) return {b, 0, true};
   if (fa * fb > 0.0) throw std::invalid_argument("brent: root not bracketed");
@@ -92,6 +86,85 @@ RootResult brent_bracketed(const std::function<double(double)>& f, double a,
     }
   }
   return {b, max_iter, false};
+}
+
+RootResult solve_from(RootSolver solver,
+                      const std::function<double(double)>& f, double a,
+                      double fa, double b, double fb, double x_tol,
+                      int max_iter) {
+  return solver == RootSolver::kBisect
+             ? bisect_from(f, a, fa, b, fb, x_tol, max_iter)
+             : brent_from(f, a, fa, b, fb, x_tol, max_iter);
+}
+
+}  // namespace
+
+RootResult bisect(const std::function<double(double)>& f, double a, double b,
+                  double x_tol, int max_iter) {
+  const double fa = f(a);
+  return bisect_from(f, a, fa, b, f(b), x_tol, max_iter);
+}
+
+RootResult brent(const std::function<double(double)>& f, double a, double b,
+                 double x_tol, int max_iter) {
+  const double fa = f(a);
+  return brent_from(f, a, fa, b, f(b), x_tol, max_iter);
+}
+
+double increasing_root(const std::function<double(double)>& f, double lo,
+                       double hi, double rel_tol, int max_iter) {
+  double flo = f(lo), fhi;
+  if (flo > 0.0) {
+    do {
+      hi = lo;
+      fhi = flo;
+      lo *= 0.5;
+      flo = f(lo);
+    } while (flo > 0.0);
+  } else {
+    fhi = f(hi);
+  }
+  while (fhi < 0.0 && std::isfinite(hi)) {
+    lo = hi;
+    flo = fhi;
+    hi *= 2.0;
+    fhi = f(hi);
+  }
+  if (!(flo <= 0.0 && fhi >= 0.0)) {
+    throw std::domain_error("increasing_root: f never changes sign");
+  }
+  return brent_from(f, lo, flo, hi, fhi, rel_tol * lo, max_iter).x;
+}
+
+double unit_interval_quantile(const std::function<double(double)>& f,
+                              double edge, RootSolver solver, double x_tol,
+                              int max_iter) {
+  const double lo = edge, hi = 1.0 - edge;
+  const double flo = f(lo);
+  if (flo > 0.0) {
+    // The root lies below the edge: continue downward in log x,
+    // doubling the step until f turns negative (a CDF is 0 once x
+    // underflows).
+    const std::function<double(double)> g = [&](double y) {
+      return f(std::exp(y));
+    };
+    double y_hi = std::log(lo), g_hi = flo;
+    double y_lo = 2.0 * y_hi, g_lo = g(y_lo);
+    while (g_lo > 0.0) {
+      y_hi = y_lo;
+      g_hi = g_lo;
+      y_lo *= 2.0;
+      g_lo = g(y_lo);
+    }
+    return std::exp(
+        solve_from(solver, g, y_lo, g_lo, y_hi, g_hi, x_tol, max_iter).x);
+  }
+  const double fhi = f(hi);
+  // Above 1 - edge the bracket closes at x = 1, where the CDF is 1.
+  if (fhi < 0.0) {
+    return solve_from(solver, f, hi, fhi, 1.0, f(1.0), x_tol, max_iter).x;
+  }
+  return solve_from(solver, f, lo, flo, hi, fhi, x_tol, max_iter).x;
 }
 
 RootResult newton(const std::function<double(double)>& f,

@@ -25,14 +25,24 @@ RootResult bisect(const std::function<double(double)>& f, double a, double b,
 RootResult brent(const std::function<double(double)>& f, double a, double b,
                  double x_tol = 1e-13, int max_iter = 200);
 
-/// bisect / brent on [a, b] for a caller that already holds fa = f(a)
-/// and fb = f(b): the same iterates without evaluating the ends again.
-RootResult bisect_bracketed(const std::function<double(double)>& f, double a,
-                            double fa, double b, double fb, double x_tol,
-                            int max_iter);
-RootResult brent_bracketed(const std::function<double(double)>& f, double a,
-                           double fa, double b, double fb, double x_tol,
-                           int max_iter);
+enum class RootSolver { kBisect, kBrent };
+
+/// Root of a nondecreasing f on (0, inf) with f(0+) < 0 < f(inf) (a
+/// CDF minus p), from the starting bracket [lo, hi], lo > 0: halves lo
+/// and doubles hi until f changes sign, then runs Brent to a stop of
+/// rel_tol * lo.  Throws std::domain_error when f is still negative at
+/// infinity (p within rounding of 1 or above).
+double increasing_root(const std::function<double(double)>& f, double lo,
+                       double hi, double rel_tol, int max_iter);
+
+/// Root in (0, 1) of f = CDF - p for a law on [0, 1], p in (0, 1).
+/// Solves on [edge, 1 - edge] when that brackets the root.  Below edge
+/// the search continues in y = log x, doubling |y| until f turns
+/// negative, and solves in y; above 1 - edge the bracket closes at
+/// x = 1.  Each probe's value is reused as a bracket end.
+double unit_interval_quantile(const std::function<double(double)>& f,
+                              double edge, RootSolver solver, double x_tol,
+                              int max_iter);
 
 /// Newton iteration with a bracketing safeguard: if [lo, hi] brackets a
 /// root, iterates never leave it and fall back to bisection when the

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,8 +157,18 @@ double line_tolerance(const std::string& name, const std::string& key) {
   return 0.0;
 }
 
-/// Whether `actual` matches the fixture line `expected`: field for
-/// field, bitwise or within line_tolerance.
+/// The whole of `field` as a number, or NaN when it is not one (a hex
+/// hash such as the `components` line's is compared as text).
+double parse_number(const std::string& field) {
+  char* end = nullptr;
+  const double v = std::strtod(field.c_str(), &end);
+  return end == field.c_str() + field.size()
+             ? v
+             : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Whether `actual` matches the fixture line `expected`: bitwise, or
+/// field for field within line_tolerance where that is above 0.
 bool line_matches(const std::string& expected, const std::string& actual) {
   if (actual == expected) return true;
   const auto e = fields(expected), a = fields(actual);
@@ -165,10 +176,10 @@ bool line_matches(const std::string& expected, const std::string& actual) {
     return false;
   }
   const double tol = line_tolerance(e[0], e[1]);
+  if (!(tol > 0.0)) return false;
   for (std::size_t k = 2; k < e.size(); ++k) {
     if (e[k] == a[k]) continue;
-    const double ev = std::strtod(e[k].c_str(), nullptr);
-    const double av = std::strtod(a[k].c_str(), nullptr);
+    const double ev = parse_number(e[k]), av = parse_number(a[k]);
     if (!(std::abs(av - ev) <= tol * std::abs(ev))) return false;
   }
   return true;
@@ -253,6 +264,29 @@ void expect_engine_golden(const std::string& prefix, bool grouped) {
 }
 
 }  // namespace
+
+TEST(GoldenCore, LineMatchIsBitwiseOutsideToleratedKeys) {
+  // A component hash is text: one that differs after a leading letter
+  // or after its leading digits is a mismatch.
+  EXPECT_FALSE(line_matches("dt_info_a1 components 163 f87fc5e920c6639c",
+                            "dt_info_a1 components 163 f87fc5e920c6639d"));
+  EXPECT_FALSE(line_matches("dt_info_a1 components 163 ae29000000000000",
+                            "dt_info_a1 components 163 b912000000000000"));
+  EXPECT_FALSE(line_matches("dt_info_a2 components 151 95559c170df42966",
+                            "dt_info_a2 components 151 95559d170df42966"));
+  // Keys without a stated tolerance compare bitwise.
+  EXPECT_FALSE(line_matches("dt_info_a1 summary 0x1p+0 0x1p-3",
+                            "dt_info_a1 summary 0x1.0000000000001p+0 0x1p-3"));
+  // A tolerated key accepts a last-bit move and rejects a larger one or
+  // a field that is not a whole number.
+  EXPECT_TRUE(line_matches("dt_info_a1 interval_omega 0x1p+0 0x1p+1",
+                           "dt_info_a1 interval_omega 0x1.0000000000001p+0 "
+                           "0x1p+1"));
+  EXPECT_FALSE(line_matches("dt_info_a1 interval_omega 0x1p+0 0x1p+1",
+                            "dt_info_a1 interval_omega 0x1.0001p+0 0x1p+1"));
+  EXPECT_FALSE(line_matches("dt_info_a1 interval_omega 0x1p+0 0x1p+1",
+                            "dt_info_a1 interval_omega 0x1p+0x 0x1p+1"));
+}
 
 TEST(GoldenCore, FailureTimeInfoAlpha1) {
   const auto dt = d::datasets::system17_failure_times();

@@ -25,6 +25,29 @@ TEST(Bisect, ReportsFailureWithoutSignChange) {
                std::invalid_argument);
 }
 
+TEST(UnitIntervalQuantile, SolvesInsideAndBeyondTheEdges) {
+  // The uniform law on [0, 1]: its p-quantile is p.
+  for (const auto solver : {m::RootSolver::kBisect, m::RootSolver::kBrent}) {
+    for (const double p : {0.3, 1e-20, 1.0 - 1e-14}) {
+      const double x = m::unit_interval_quantile(
+          [p](double y) { return y - p; }, 1e-12, solver, 1e-12, 200);
+      EXPECT_NEAR(x, p, 1e-9 * p) << "p = " << p;
+    }
+  }
+}
+
+TEST(IncreasingRoot, GrowsTheBracketBothWays) {
+  // Exponential(1) quantiles from starting brackets above and below.
+  const auto quantile = [](double p, double lo, double hi) {
+    return m::increasing_root(
+        [p](double x) { return -std::expm1(-x) - p; }, lo, hi, 1e-13, 300);
+  };
+  EXPECT_NEAR(quantile(0.5, 10.0, 20.0), std::log(2.0), 1e-12);
+  EXPECT_NEAR(quantile(0.99, 1e-3, 2e-3), std::log(100.0), 1e-12);
+  // Above 1 the CDF never reaches p.
+  EXPECT_THROW(quantile(1.5, 1.0, 2.0), std::domain_error);
+}
+
 TEST(Bisect, ExactRootAtEndpoint) {
   const auto r = m::bisect([](double x) { return x - 1.0; }, 1.0, 2.0);
   EXPECT_TRUE(r.converged);
